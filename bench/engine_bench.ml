@@ -33,12 +33,7 @@
    the matching minor_words_per_event.  For a before/after comparison,
    build the baseline commit in a worktree with this same file copied
    in, and alternate the two binaries run-for-run so both see the same
-   machine conditions.  The BENCH_MINOR_MB row comes from the harness
-   sweep (which routes through Harness.Pool, where the knob applies):
-
-     time dune exec bin/experiments_main.exe -- fig3 --time-scale 0.1 --jobs 1
-     BENCH_MINOR_MB=8 time dune exec bin/experiments_main.exe -- fig3 \
-       --time-scale 0.1 --jobs 1 *)
+   machine conditions. *)
 
 open Simcore
 

@@ -1,8 +1,9 @@
-(* Regenerate the paper's figures.  Each figure id (fig3..fig14) runs the
-   full (write probability x algorithm) sweep — fanned out over a domain
-   pool (--jobs) — and prints the throughput table; fig5 is analytic;
-   "table1"/"table2" print the parameter tables.  CSV output per figure
-   is written when --csv-dir is given. *)
+(* Regenerate the paper's tables and figures and run the other
+   experiment grids.  Every grid id (see Experiments.all) runs its
+   (row x protocol) cells — fanned out over a domain pool (--jobs) —
+   and prints its throughput table; fig5 is analytic; "table1"/"table2"
+   print the parameter tables.  One CSV per grid is written when
+   --csv-dir is given. *)
 
 open Cmdliner
 open Oodb_core
@@ -27,16 +28,25 @@ let write_csv ~dir ~id csv =
     Format.printf "wrote %s@." path;
     true
 
-(* One trace per cell: ID-wp0.10-PS-AA.json (or -rate0.005- for the
-   fault sweep).  Only called when --timeline enabled the recorder, so
-   every result carries one. *)
-let write_timeline ~dir ~id ~coord algo (r : Runner.result) =
+(* One trace per cell, named after the sweep and the cell label:
+   fig3-wp0.10-PS-AA.json, faultsweep-rate0.005-PS.json, ...  Only
+   called when --timeline enabled the recorder, so every result
+   carries one. *)
+let write_timeline ~dir (j : Job.t) (r : Runner.result) =
   match r.Runner.timeline with
   | None -> ()
   | Some tl ->
+    let safe = function
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> true
+      | _ -> false
+    in
+    let words =
+      String.split_on_char ' ' j.Job.label
+      |> List.filter (( <> ) "")
+      |> List.map (fun w -> String.of_seq (Seq.filter safe (String.to_seq w)))
+    in
     let path =
-      Filename.concat dir
-        (Printf.sprintf "%s-%s-%s.json" id coord (Algo.to_string algo))
+      Filename.concat dir (String.concat "-" (j.Job.sweep :: words) ^ ".json")
     in
     let dropped = Telemetry.Perfetto.write_file tl ~path in
     Format.printf "  timeline: %d events -> %s%s@."
@@ -46,70 +56,26 @@ let write_timeline ~dir ~id ~coord algo (r : Runner.result) =
          Printf.sprintf " (%d spans truncated by ring wrap)" dropped
        else "")
 
-let write_series_timelines ~dir ~id (series : Experiments.series) =
-  mkdir_p dir;
-  List.iter
-    (fun (p : Experiments.point) ->
-      List.iter
-        (fun (algo, r) ->
-          write_timeline ~dir ~id
-            ~coord:(Printf.sprintf "wp%.2f" p.Experiments.write_prob)
-            algo r)
-        p.Experiments.results)
-    series.Experiments.points
+let run_spec ~time_scale ~oracle ~timeline_dir ~percentiles ~njobs ~csv_dir
+    ~detail spec =
+  let jobs =
+    Experiments.jobs_of_spec ~time_scale ~oracle
+      ~timeline:(timeline_dir <> None) spec
+  in
+  let progress j r = Format.printf "  %s@.%!" (Experiments.progress_line j r) in
+  let results = Harness.Pool.run ~jobs:njobs ~progress jobs in
+  let series = Experiments.series_of_results spec results in
+  Format.printf "%s@?" (Report.render ~percentiles ~detail series);
+  Option.iter
+    (fun dir ->
+      mkdir_p dir;
+      List.iter2 (write_timeline ~dir) jobs results)
+    timeline_dir;
+  match csv_dir with
+  | None -> true
+  | Some dir -> write_csv ~dir ~id:spec.Experiments.id (Report.to_csv series)
 
-let write_shard_timelines ~dir (series : Experiments.shard_series) =
-  mkdir_p dir;
-  List.iter
-    (fun (p : Experiments.shard_point) ->
-      List.iter
-        (fun (algo, r) ->
-          write_timeline ~dir ~id:"shardsweep"
-            ~coord:(Printf.sprintf "srv%d" p.Experiments.servers)
-            algo r)
-        p.Experiments.sresults)
-    series.Experiments.spoints
-
-let write_fault_timelines ~dir (series : Experiments.fault_series) =
-  mkdir_p dir;
-  List.iter
-    (fun (p : Experiments.fault_point) ->
-      List.iter
-        (fun (algo, r) ->
-          write_timeline ~dir ~id:"faultsweep"
-            ~coord:(Printf.sprintf "rate%.3f" p.Experiments.rate)
-            algo r)
-        p.Experiments.fresults)
-    series.Experiments.fpoints
-
-let write_srvfault_timelines ~dir (series : Experiments.srvfault_series) =
-  mkdir_p dir;
-  List.iter
-    (fun (p : Experiments.srvfault_point) ->
-      List.iter
-        (fun (algo, r) ->
-          write_timeline ~dir ~id:"srvfaultsweep"
-            ~coord:(Printf.sprintf "srate%.3f" p.Experiments.srate)
-            algo r)
-        p.Experiments.svresults)
-    series.Experiments.svpoints
-
-let write_cluster_timelines ~dir (series : Experiments.cluster_series) =
-  mkdir_p dir;
-  List.iter
-    (fun (p : Experiments.cluster_point) ->
-      List.iter
-        (fun (algo, r) ->
-          write_timeline ~dir ~id:"clustersweep"
-            ~coord:
-              (Printf.sprintf "%s-z%.2f"
-                 (Workload.Placement.name p.Experiments.cpolicy)
-                 p.Experiments.ctheta)
-            algo r)
-        p.Experiments.cresults)
-    series.Experiments.cpoints
-
-let run_figure ?(time_scale = 1.0) ?(oracle = false) ?timeline_dir
+let run_id ?(time_scale = 1.0) ?(oracle = false) ?timeline_dir
     ?(percentiles = false) ~njobs ~csv_dir ~detail id =
   match id with
   | "table1" ->
@@ -121,95 +87,18 @@ let run_figure ?(time_scale = 1.0) ?(oracle = false) ?timeline_dir
   | "fig5" ->
     Format.printf "%a@." Report.pp_figure5 (Experiments.figure5 ());
     true
-  | "faultsweep" ->
-    let progress j r =
-      Format.printf "  %s@.%!" (Experiments.progress_line j r)
-    in
-    let jobs =
-      Experiments.fault_jobs ~time_scale ~oracle
-        ~timeline:(timeline_dir <> None) ()
-    in
-    let results = Harness.Pool.run ~jobs:njobs ~progress jobs in
-    let series = Experiments.fault_series_of_results results in
-    Format.printf "%a@." Report.pp_fault_series series;
-    Option.iter (fun dir -> write_fault_timelines ~dir series) timeline_dir;
-    (match csv_dir with
-    | None -> true
-    | Some dir ->
-      write_csv ~dir ~id:"faultsweep" (Report.fault_series_to_csv series))
-  | "srvfaultsweep" ->
-    let progress j r =
-      Format.printf "  %s@.%!" (Experiments.progress_line j r)
-    in
-    let jobs =
-      Experiments.srvfault_jobs ~time_scale ~oracle
-        ~timeline:(timeline_dir <> None) ()
-    in
-    let results = Harness.Pool.run ~jobs:njobs ~progress jobs in
-    let series = Experiments.srvfault_series_of_results results in
-    Format.printf "%a@." Report.pp_srvfault_series series;
-    Option.iter (fun dir -> write_srvfault_timelines ~dir series) timeline_dir;
-    (match csv_dir with
-    | None -> true
-    | Some dir ->
-      write_csv ~dir ~id:"srvfaultsweep" (Report.srvfault_series_to_csv series))
-  | "clustersweep" ->
-    let progress j r =
-      Format.printf "  %s@.%!" (Experiments.progress_line j r)
-    in
-    let jobs =
-      Experiments.cluster_jobs ~time_scale ~oracle
-        ~timeline:(timeline_dir <> None) ()
-    in
-    let results = Harness.Pool.run ~jobs:njobs ~progress jobs in
-    let series = Experiments.cluster_series_of_results results in
-    Format.printf "%a@." Report.pp_cluster_series series;
-    Option.iter (fun dir -> write_cluster_timelines ~dir series) timeline_dir;
-    (match csv_dir with
-    | None -> true
-    | Some dir ->
-      write_csv ~dir ~id:"clustersweep" (Report.cluster_series_to_csv series))
-  | "shardsweep" ->
-    let progress j r =
-      Format.printf "  %s@.%!" (Experiments.progress_line j r)
-    in
-    let jobs =
-      Experiments.shard_jobs ~time_scale ~oracle
-        ~timeline:(timeline_dir <> None) ()
-    in
-    let results = Harness.Pool.run ~jobs:njobs ~progress jobs in
-    let series = Experiments.shard_series_of_results results in
-    Format.printf "%a@." Report.pp_shard_series series;
-    Option.iter (fun dir -> write_shard_timelines ~dir series) timeline_dir;
-    (match csv_dir with
-    | None -> true
-    | Some dir ->
-      write_csv ~dir ~id:"shardsweep" (Report.shard_series_to_csv series))
   | id -> (
     match Experiments.find id with
     | None ->
       Format.printf "unknown experiment id %S@." id;
       false
     | Some spec ->
-      let progress line = Format.printf "  %s@.%!" line in
-      let series =
-        Harness.Sweep.run_spec ~time_scale ~oracle
-          ~timeline:(timeline_dir <> None) ~jobs:njobs ~progress spec
-      in
-      Format.printf "%a@." Report.pp_series series;
-      if percentiles then
-        Format.printf "%a@." Report.pp_series_percentiles series;
-      if detail then Format.printf "%a@." Report.pp_series_detail series;
-      Option.iter (fun dir -> write_series_timelines ~dir ~id series)
-        timeline_dir;
-      (match csv_dir with
-      | None -> true
-      | Some dir -> write_csv ~dir ~id (Report.series_to_csv series)))
+      run_spec ~time_scale ~oracle ~timeline_dir ~percentiles ~njobs ~csv_dir
+        ~detail spec)
 
 let all_ids =
-  [ "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
-    "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14"; "faultsweep";
-    "shardsweep"; "srvfaultsweep"; "clustersweep" ]
+  "table1" :: "table2" :: "fig5"
+  :: List.map (fun s -> s.Experiments.id) Experiments.all
 
 let run ids time_scale oracle timeline_dir percentiles njobs csv_dir detail =
   let ids = if ids = [] then all_ids else ids in
@@ -230,7 +119,7 @@ let run ids time_scale oracle timeline_dir percentiles njobs csv_dir detail =
     let ok =
       List.fold_left
         (fun ok id ->
-          run_figure ~time_scale ~oracle ?timeline_dir ~percentiles ~njobs
+          run_id ~time_scale ~oracle ?timeline_dir ~percentiles ~njobs
             ~csv_dir ~detail id
           && ok)
         true ids
@@ -242,8 +131,9 @@ let ids_t =
     value & pos_all string []
     & info [] ~docv:"ID"
         ~doc:
-          "Experiment ids (fig3..fig14, table1, table2, faultsweep, \
-           shardsweep, srvfaultsweep, clustersweep); all when omitted")
+          "Experiment ids (table1, table2, fig5, fig3..fig14, faultsweep, \
+           shardsweep, srvfaultsweep, clustersweep, sens-*, abl-*); all \
+           when omitted")
 
 let time_scale_t =
   Arg.(
@@ -275,9 +165,9 @@ let percentiles_t =
     value & flag
     & info [ "percentiles" ]
         ~doc:
-          "After each figure's throughput table, print the response-time \
-           p50/p90/p99 per cell and a per-algorithm summary of the \
-           histograms merged across the sweep")
+          "After each grid's throughput table, print the response-time \
+           p50/p90/p99 per cell and a per-protocol summary of the \
+           histograms merged across the grid")
 
 let jobs_t =
   Arg.(
@@ -295,11 +185,13 @@ let csv_dir_t =
     & opt (some string) None
     & info [ "csv-dir" ]
         ~doc:
-          "Also write one CSV per figure into this directory (created \
+          "Also write one CSV per grid into this directory (created \
            recursively if missing)")
 
 let detail_t =
-  Arg.(value & flag & info [ "detail" ] ~doc:"Print per-cell auxiliary metrics")
+  Arg.(
+    value & flag
+    & info [ "detail" ] ~doc:"Print one line of auxiliary metrics per cell")
 
 let cmd =
   Cmd.v

@@ -1,36 +1,76 @@
-(** The paper's experiment suite: one {!spec} per evaluation figure.
+(** Every experiment grid, as one {!spec} type.
 
-    Each throughput figure sweeps the per-object write probability for
-    all five algorithms under one workload/locality setting (Section
-    5.1); Figures 12-14 rerun three workloads on the x9-scaled database
-    with 3x transactions and report throughput normalized to PS-AA
-    (Section 5.6.1). *)
+    A grid is a list of rows crossed with a list of protocols; each
+    (row, protocol) cell runs one simulation ({!Job.t}).  The paper's
+    throughput figures sweep the per-object write probability under one
+    workload/locality setting (Section 5.1); Figures 12-14 rerun three
+    workloads on the x9-scaled database with 3x transactions and report
+    throughput normalized to PS-AA (Section 5.6.1).  The robustness,
+    sharding, availability and clustering sweeps vary one knob of a
+    base cell; the [sens-*] grids are the parameter sweeps of Section
+    5.6.2 and the [abl-*] grids the Section 6 variants and design
+    ablations (see DESIGN.md's ablation index).
 
-type spec = {
-  id : string;  (** e.g. "fig3" *)
-  title : string;
-  workload : Workload.Presets.name;
-  locality : Workload.Presets.locality;
-  scale : int;  (** database/buffer scale factor (1, or 9 for figs 12-14) *)
-  trans_size : int option;  (** override (scaled runs use 3x) *)
-  write_probs : float list;
-  normalize : bool;  (** report throughput relative to PS-AA *)
-  warmup : float;
+    Adding a grid is one value in {!all}: {!Report} and the
+    [experiments_main] CLI render and run any spec. *)
+
+type key = {
+  header : string;  (** table column header *)
+  text : string;  (** table cell, padded to the header's width *)
+  csv_header : string;
+  csv_text : string;
+}
+(** One key column of a row: the coordinates a row is printed under.
+    A key with an empty [header] and [text] appears in the CSV only. *)
+
+type row = {
+  keys : key list;
+  tag : string;  (** the row's coordinates in detail lines, e.g. ["wp=0.10"] *)
+  label : Algo.t -> string;
+      (** the cell label, which keys the cell's seed (see {!Job.seed}):
+          changing it changes the cell's random streams *)
+  cfg : Config.t;
+  params : Workload.Wparams.t;  (** built once, shared by every protocol *)
+  warmup : float;  (** simulated seconds, before [time_scale] *)
   measure : float;
 }
 
+type detail = string * Metric.t * (float -> string, unit, string) format
+(** A field of a detail line: the text printed before the value
+    (separator included), the metric, and its format. *)
+
+type spec = {
+  id : string;  (** e.g. ["fig3"] *)
+  title : string;
+  algos : Algo.t list;  (** the protocols each row runs, in column order *)
+  base_cfg : Config.t;  (** the configuration the rows vary *)
+  workload : write_prob:float -> Workload.Wparams.t;
+      (** the workload the rows vary, at a write probability *)
+  rows : unit -> row list;
+      (** built on demand: a row's params may be costly (object graphs) *)
+  axis : string;  (** what the rows vary, plural: ["write probabilities"] *)
+  normalize : bool;  (** also print throughput relative to PS-AA *)
+  detail_heading : string;
+      (** printed on a line of its own before the detail lines; figure
+          headings start with a blank line, setting the block apart,
+          while the other sweeps continue their table *)
+  detail : detail list;
+  csv : Metric.t list;  (** CSV columns after the keys and [algo] *)
+}
+
 val all : spec list
-(** fig3, fig4, fig6..fig11, fig12..fig14 (fig5 is analytic, see
-    {!Analytic}). *)
+(** fig3, fig4, fig6..fig14 (fig5 is analytic, see {!figure5}), then
+    faultsweep, shardsweep, srvfaultsweep, clustersweep, the four
+    [sens-*] and the six [abl-*] grids. *)
 
 val find : string -> spec option
 
-type point = {
-  write_prob : float;
-  results : (Algo.t * Runner.result) list;
-}
+val cfg_of : spec -> Config.t
+(** [spec.base_cfg]: for a figure, the configuration of every cell. *)
 
-type series = { spec : spec; points : point list }
+val params_of : spec -> write_prob:float -> Workload.Wparams.t
+(** [spec.workload]: for a figure, the workload at one write
+    probability. *)
 
 val jobs_of_spec :
   ?seed:int ->
@@ -39,169 +79,36 @@ val jobs_of_spec :
   ?timeline:bool ->
   ?servers:int ->
   ?partition:Config.partition ->
+  ?max_events:int ->
   spec ->
   Job.t list
-(** Describe every (write probability, algorithm) cell of the figure
-    as a {!Job.t}, write-probability-major.
-    [servers]/[partition] (defaults 1/[Hash]) shard the page server;
-    neither enters the seed key, so a cell replays the same client
-    request streams at any partition count.  [time_scale] multiplies
-    both warm-up and measurement windows (e.g. 0.25 for a quick
-    look); [oracle] attaches the serializability oracle and
-    [timeline] the event-timeline recorder (both default false;
-    neither changes the seed or the results).  Each job's RNG seed
-    derives from [seed] and the cell description alone (see
-    {!Job.seed}). *)
+(** Describe every (row, protocol) cell as a {!Job.t}, row-major.
+    [time_scale] multiplies both windows (e.g. 0.25 for a quick look);
+    [oracle] attaches the serializability oracle and [timeline] the
+    event-timeline recorder (both default false).  [servers] and
+    [partition], when given, override every row's topology.  None of
+    these enters the seed key, so a cell replays the same client
+    request streams with any of them; each job's RNG seed derives from
+    [seed] (default 42) and the cell description alone (see
+    {!Job.seed}).  [max_events] bounds each window's event count. *)
+
+type point = { row : row; results : (Algo.t * Runner.result) list }
+type series = { spec : spec; points : point list }
 
 val series_of_results : spec -> Runner.result list -> series
-(** Reassemble results — in the order of {!jobs_of_spec} — into the
-    figure's points.  Raises [Invalid_argument] on a length mismatch. *)
-
-(** {2 Fault-rate sweep}
-
-    The robustness experiment: fig3's wp=0.1 cell rerun for every
-    protocol under increasing {!Faults.storm} intensity.  Rate 0.0 is
-    the fault-free reference point and must reproduce the plain fig3
-    numbers byte-for-byte. *)
-
-val fault_rates : float list
-
-type fault_point = { rate : float; fresults : (Algo.t * Runner.result) list }
-type fault_series = { frates : float list; fpoints : fault_point list }
-
-val fault_jobs :
-  ?seed:int ->
-  ?time_scale:float ->
-  ?oracle:bool ->
-  ?timeline:bool ->
-  ?max_events:int ->
-  unit ->
-  Job.t list
-(** Rate-major, algorithm-minor, like {!jobs_of_spec}. *)
-
-val fault_series_of_results : Runner.result list -> fault_series
-
-(** {2 Shard sweep}
-
-    The partitioned-server experiment: fig3's wp=0.1 cell rerun for
-    every protocol at increasing server counts.  servers=1 is the
-    singleton reference point and reproduces the plain fig3 numbers
-    byte-for-byte. *)
-
-val shard_counts : int list
-
-type shard_point = { servers : int; sresults : (Algo.t * Runner.result) list }
-type shard_series = { scounts : int list; spoints : shard_point list }
-
-val shard_jobs :
-  ?seed:int ->
-  ?time_scale:float ->
-  ?oracle:bool ->
-  ?timeline:bool ->
-  ?partition:Config.partition ->
-  ?max_events:int ->
-  unit ->
-  Job.t list
-(** Server-count-major, algorithm-minor, like {!jobs_of_spec}. *)
-
-val shard_series_of_results : Runner.result list -> shard_series
-
-(** {2 Server-fault sweep}
-
-    The availability experiment: fig3's wp=0.1 cell on a 2-way
-    partitioned server rerun for every protocol under increasing
-    server crash rates (client faults off).  A crashed server loses
-    its volatile state, replays its flushed redo log and rebuilds
-    callback state from surviving clients before reopening; only
-    transactions touching the down partition stall.  srate=0.0 is the
-    fault-free reference point. *)
-
-val srvfault_rates : float list
-
-type srvfault_point = {
-  srate : float;
-  svresults : (Algo.t * Runner.result) list;
-}
-
-type srvfault_series = { srates : float list; svpoints : srvfault_point list }
-
-val srvfault_jobs :
-  ?seed:int ->
-  ?time_scale:float ->
-  ?oracle:bool ->
-  ?timeline:bool ->
-  ?partition:Config.partition ->
-  ?max_events:int ->
-  unit ->
-  Job.t list
-(** Crash-rate-major, algorithm-minor, like {!jobs_of_spec}. *)
-
-val srvfault_series_of_results : Runner.result list -> srvfault_series
-
-(** {2 Cluster sweep}
-
-    The clustering-sensitivity experiment: the OCB-style generic
-    workload (default knobs, wp=0.2) rerun for every protocol under
-    each placement policy and two Zipf skews.  Policies are listed
-    best-clustered first (depth-first by reference, sequential,
-    random scatter); page-grain PS should degrade fastest as
-    clustering quality drops, while the object-grain protocols stay
-    comparatively flat. *)
-
-val cluster_policies : Workload.Placement.policy list
-val cluster_thetas : float list
-val cluster_write_prob : float
-
-type cluster_point = {
-  cpolicy : Workload.Placement.policy;
-  ctheta : float;
-  cquality : float;  (** co-resident reference-edge fraction of the layout *)
-  cresults : (Algo.t * Runner.result) list;
-}
-
-type cluster_series = {
-  ccells : (Workload.Placement.policy * float) list;
-  cpoints : cluster_point list;
-}
-
-val cluster_cells : unit -> (Workload.Placement.policy * float) list
-(** Policy-major, theta-minor. *)
-
-val cluster_params :
-  policy:Workload.Placement.policy -> theta:float -> Workload.Wparams.t
-
-val cluster_jobs :
-  ?seed:int ->
-  ?time_scale:float ->
-  ?oracle:bool ->
-  ?timeline:bool ->
-  ?max_events:int ->
-  unit ->
-  Job.t list
-(** Cell-major (policy, then theta), algorithm-minor, like
-    {!jobs_of_spec}. *)
-
-val cluster_series_of_results : Runner.result list -> cluster_series
+(** Reassemble results, in the order of {!jobs_of_spec}, into rows.
+    Raises [Invalid_argument] on a length mismatch. *)
 
 val progress_line : Job.t -> Runner.result -> string
 (** One-line completion message for a cell ("fig3 wp=0.05 PS-AA: ... tps"). *)
 
-val run_spec :
-  ?seed:int ->
-  ?time_scale:float ->
-  ?oracle:bool ->
-  ?timeline:bool ->
-  ?servers:int ->
-  ?partition:Config.partition ->
-  ?progress:(string -> unit) ->
-  spec ->
-  series
-(** Sequential reference driver: {!jobs_of_spec} run one cell at a
-    time; [progress] receives one line per completed cell.  The
-    parallel path is [Harness.Sweep.run_spec]. *)
+val cluster_policies : Workload.Placement.policy list
+(** The clustersweep's placement policies, best-clustered first. *)
 
-val cfg_of : spec -> Config.t
-val params_of : spec -> write_prob:float -> Workload.Wparams.t
+val cluster_params :
+  policy:Workload.Placement.policy -> theta:float -> Workload.Wparams.t
+(** The clustersweep's OCB workload (5000 objects, wp=0.2) under one
+    placement policy and Zipf skew. *)
 
 val figure5 : unit -> (int * (float * float) list) list
 (** The analytic Figure 5 data: for each locality, (object write

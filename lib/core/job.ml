@@ -10,8 +10,6 @@ type t = {
   max_events : int option;
 }
 
-type table = { title : string; jobs : t list }
-
 let make ?(base_seed = 42) ?max_events ~sweep ~label ~cfg ~algo ~params
     ~warmup ~measure () =
   { sweep; label; cfg; algo; params; base_seed; warmup; measure; max_events }

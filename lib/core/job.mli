@@ -2,8 +2,7 @@
     experiment cell — configuration, protocol, workload, seed and
     measurement windows — that maps to one {!Runner.result}.
 
-    Sweep drivers ({!Experiments}, {!Sensitivity}, the extension
-    ablations) only *describe* their grids as job lists; execution is
+    {!Experiments} only *describes* its grids as job lists; execution is
     injected, either sequentially ({!run_all}) or by the parallel
     [Harness.Pool].  Each job derives its RNG seed from its description
     alone ({!seed}), so results are byte-identical regardless of worker
@@ -23,10 +22,6 @@ type t = {
           part of the seed key (it does not change the experiment, only
           caps runaway fault storms) *)
 }
-
-type table = { title : string; jobs : t list }
-(** A titled job list: the unit in which the sensitivity and ablation
-    drivers publish their sweeps. *)
 
 val make :
   ?base_seed:int ->

@@ -1,60 +1,50 @@
-let algo_throughput (point : Experiments.point) algo =
-  match List.assoc_opt algo point.results with
-  | Some r -> r.Runner.throughput
+(* Every spec renders through the same code: a grid of key columns by
+   protocol columns for the table, the normalized table and the
+   percentile table; one line per cell for the detail block; one row
+   per cell for the CSV.  Every number comes from {!Metric}. *)
+
+open Experiments
+
+let throughput (p : point) a =
+  match List.assoc_opt a p.results with
+  | Some r -> Metric.throughput.get r
   | None -> nan
 
-let pp_header ppf =
-  Format.fprintf ppf "%8s" "wp";
-  List.iter (fun a -> Format.fprintf ppf "%9s" (Algo.to_string a)) Algo.all;
-  Format.fprintf ppf "@,"
+let keys_header (s : series) =
+  match s.points with
+  | [] -> ""
+  | p :: _ -> String.concat "" (List.map (fun k -> k.header) p.row.keys)
 
-let pp_series ppf (s : Experiments.series) =
-  Format.fprintf ppf "@[<v>%s: %s@," s.spec.Experiments.id
-    s.spec.Experiments.title;
-  Format.fprintf ppf "throughput (transactions/second)@,";
-  pp_header ppf;
-  List.iter
-    (fun (p : Experiments.point) ->
-      Format.fprintf ppf "%8.2f" p.write_prob;
-      List.iter
-        (fun a -> Format.fprintf ppf "%9.2f" (algo_throughput p a))
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.points;
-  if s.spec.Experiments.normalize then begin
-    Format.fprintf ppf "normalized to PS-AA@,";
-    pp_header ppf;
-    List.iter
-      (fun (p : Experiments.point) ->
-        let base = algo_throughput p Algo.PS_AA in
-        Format.fprintf ppf "%8.2f" p.write_prob;
-        List.iter
-          (fun a ->
-            let v = algo_throughput p a in
-            Format.fprintf ppf "%9.2f" (if base > 0.0 then v /. base else nan))
-          Algo.all;
-        Format.fprintf ppf "@,")
-      s.points
-  end;
-  Format.fprintf ppf "@]"
+let keys_text (p : point) =
+  String.concat "" (List.map (fun k -> k.text) p.row.keys)
 
-let pp_series_detail ppf (s : Experiments.series) =
-  Format.fprintf ppf "@[<v>%s details@," s.spec.Experiments.id;
+(* One line per row: its key cells, then one [width]-wide cell per
+   protocol. *)
+let grid b (s : series) ~width ~head cell =
+  Buffer.add_string b (keys_header s);
   List.iter
-    (fun (p : Experiments.point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Format.fprintf ppf
-            "wp=%.2f %-6s tput=%6.2f resp=%6.0fms ci=%5.0fms msgs/c=%6.1f \
-             aborts=%4d dlk=%3d srvCPU=%4.2f disk=%4.2f net=%4.2f deesc=%4d \
-             merges=%4d pw/ow=%d/%d@,"
-            p.write_prob (Algo.to_string a) r.throughput
-            (1000.0 *. r.resp_mean) (1000.0 *. r.resp_ci90) r.msgs_per_commit
-            r.aborts r.deadlocks r.server_cpu_util r.disk_util r.net_util
-            r.deescalations r.merges r.page_write_grants r.object_write_grants)
-        p.results)
-    s.points;
-  Format.fprintf ppf "@]"
+    (fun a -> Printf.bprintf b "%*s" width (head (Algo.to_string a)))
+    s.spec.algos;
+  Buffer.add_char b '\n';
+  List.iter
+    (fun p ->
+      Buffer.add_string b (keys_text p);
+      List.iter (fun a -> Printf.bprintf b "%*s" width (cell p a)) s.spec.algos;
+      Buffer.add_char b '\n')
+    s.points
+
+let table b (s : series) =
+  let cell f p a = Printf.sprintf "%.2f" (f p a) in
+  Printf.bprintf b "%s: %s\nthroughput (transactions/second)\n" s.spec.id
+    s.spec.title;
+  grid b s ~width:9 ~head:Fun.id (cell throughput);
+  if s.spec.normalize then begin
+    Buffer.add_string b "normalized to PS-AA\n";
+    grid b s ~width:9 ~head:Fun.id
+      (cell (fun p a ->
+           let base = throughput p Algo.PS_AA in
+           if base > 0.0 then throughput p a /. base else nan))
+  end
 
 (* --- Percentiles --------------------------------------------------------- *)
 
@@ -62,9 +52,11 @@ let pp_percentiles ppf (r : Runner.result) =
   Format.fprintf ppf
     "@[<v>percentiles (ms): response p50/p90/p99 %.0f/%.0f/%.0f, lock wait \
      p99 %.1f, callback round-trip p99 %.1f@]"
-    (1000.0 *. r.resp_p50) (1000.0 *. r.resp_p90) (1000.0 *. r.resp_p99)
-    (1000.0 *. r.lock_wait_p99)
-    (1000.0 *. r.cb_round_p99);
+    Metric.(resp_p50_ms.get r)
+    Metric.(resp_p90_ms.get r)
+    Metric.(resp_p99_ms.get r)
+    Metric.(lock_wait_p99_ms.get r)
+    Metric.(cb_round_p99_ms.get r);
   let h = r.hists.Metrics.h_msg_latency in
   let nonempty =
     List.filter
@@ -105,365 +97,96 @@ let pp_percentiles ppf (r : Runner.result) =
    point order — deterministic whatever pool executed the cells, since
    merging is order-invariant on counts and the iteration order is
    fixed by the job list. *)
-let merged_response_hists (s : Experiments.series) =
+let merged_response_hists (s : series) =
   List.map
     (fun a ->
       let merged = Telemetry.Histogram.create () in
       List.iter
-        (fun (p : Experiments.point) ->
+        (fun p ->
           match List.assoc_opt a p.results with
-          | Some r -> Telemetry.Histogram.merge ~into:merged r.Runner.hists.Metrics.h_response
+          | Some r ->
+            Telemetry.Histogram.merge ~into:merged
+              r.Runner.hists.Metrics.h_response
           | None -> ())
         s.points;
       (a, merged))
-    Algo.all
+    s.spec.algos
 
-let pp_series_percentiles ppf (s : Experiments.series) =
-  Format.fprintf ppf "@[<v>%s response-time percentiles (ms)@,"
-    s.spec.Experiments.id;
-  Format.fprintf ppf "%8s" "wp";
-  List.iter
-    (fun a ->
-      Format.fprintf ppf "%21s" (Algo.to_string a ^ " p50/p90/p99"))
-    Algo.all;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (p : Experiments.point) ->
-      Format.fprintf ppf "%8.2f" p.write_prob;
-      List.iter
-        (fun a ->
-          match List.assoc_opt a p.results with
-          | Some r ->
-            Format.fprintf ppf "%21s"
-              (Printf.sprintf "%.0f/%.0f/%.0f" (1000.0 *. r.Runner.resp_p50)
-                 (1000.0 *. r.Runner.resp_p90)
-                 (1000.0 *. r.Runner.resp_p99))
-          | None -> Format.fprintf ppf "%21s" "-")
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.points;
-  Format.fprintf ppf "merged across write probabilities@,";
+let percentiles b (s : series) =
+  let module H = Telemetry.Histogram in
+  Printf.bprintf b "%s response-time percentiles (ms)\n" s.spec.id;
+  grid b s ~width:21
+    ~head:(fun a -> a ^ " p50/p90/p99")
+    (fun p a ->
+      match List.assoc_opt a p.results with
+      | Some r ->
+        Printf.sprintf "%.0f/%.0f/%.0f"
+          Metric.(resp_p50_ms.get r)
+          Metric.(resp_p90_ms.get r)
+          Metric.(resp_p99_ms.get r)
+      | None -> "-");
+  Printf.bprintf b "merged across %s\n" s.spec.axis;
   List.iter
     (fun (a, h) ->
-      if not (Telemetry.Histogram.is_empty h) then
-        Format.fprintf ppf
+      if not (H.is_empty h) then
+        Printf.bprintf b
           "%-6s n=%-6d mean=%6.0fms p50=%6.0fms p90=%6.0fms p99=%6.0fms \
-           max=%6.0fms@,"
-          (Algo.to_string a)
-          (Telemetry.Histogram.count h)
-          (1000.0 *. Telemetry.Histogram.mean h)
-          (1000.0 *. Telemetry.Histogram.quantile h 0.50)
-          (1000.0 *. Telemetry.Histogram.quantile h 0.90)
-          (1000.0 *. Telemetry.Histogram.quantile h 0.99)
-          (1000.0 *. Telemetry.Histogram.max_value h))
-    (merged_response_hists s);
-  Format.fprintf ppf "@]"
+           max=%6.0fms\n"
+          (Algo.to_string a) (H.count h)
+          (1000.0 *. H.mean h)
+          (1000.0 *. H.quantile h 0.50)
+          (1000.0 *. H.quantile h 0.90)
+          (1000.0 *. H.quantile h 0.99)
+          (1000.0 *. H.max_value h))
+    (merged_response_hists s)
 
-let series_to_csv (s : Experiments.series) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "figure,write_prob,algo,servers,throughput,resp_ms,resp_ci_ms,commits,\
-     aborts,deadlocks,msgs_per_commit,kbytes_per_commit,disk_ios,server_cpu,\
-     client_cpu,disk_util,net_util,deescalations,merges,page_grants,\
-     object_grants,resp_p50_ms,resp_p90_ms,resp_p99_ms,lock_wait_p99_ms,\
-     cb_round_p99_ms,retries,retry_wait_p99_ms\n";
+let detail b (s : series) =
+  Printf.bprintf b "%s\n" s.spec.detail_heading;
   List.iter
-    (fun (p : Experiments.point) ->
+    (fun p ->
       List.iter
-        (fun (a, (r : Runner.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%s,%.3f,%s,%d,%.4f,%.1f,%.1f,%d,%d,%d,%.2f,%.2f,%d,%.3f,%.3f,%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%.1f\n"
-               s.spec.Experiments.id p.write_prob (Algo.to_string a)
-               r.Runner.n_servers r.Runner.throughput
-               (1000.0 *. r.Runner.resp_mean)
-               (1000.0 *. r.Runner.resp_ci90)
-               r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-               r.Runner.msgs_per_commit r.Runner.kbytes_per_commit
-               r.Runner.disk_ios r.Runner.server_cpu_util
-               r.Runner.client_cpu_util r.Runner.disk_util r.Runner.net_util
-               r.Runner.deescalations r.Runner.merges
-               r.Runner.page_write_grants r.Runner.object_write_grants
-               (1000.0 *. r.Runner.resp_p50)
-               (1000.0 *. r.Runner.resp_p90)
-               (1000.0 *. r.Runner.resp_p99)
-               (1000.0 *. r.Runner.lock_wait_p99)
-               (1000.0 *. r.Runner.cb_round_p99)
-               r.Runner.retries
-               (1000.0 *. r.Runner.retry_wait_p99)))
+        (fun (a, r) ->
+          Printf.bprintf b "%s %-6s" p.row.tag (Algo.to_string a);
+          List.iter
+            (fun (before, m, fmt) ->
+              Buffer.add_string b before;
+              Buffer.add_string b (Printf.sprintf fmt (m.Metric.get r)))
+            s.spec.detail;
+          Buffer.add_char b '\n')
+        p.results)
+    s.points
+
+let render ~percentiles:pct ~detail:det s =
+  let b = Buffer.create 4096 in
+  table b s;
+  if pct then begin
+    Buffer.add_char b '\n';
+    percentiles b s
+  end;
+  if det then detail b s;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let to_csv (s : series) =
+  let b = Buffer.create 4096 in
+  let line cells = Buffer.add_string b (String.concat "," cells ^ "\n") in
+  (match s.points with
+  | [] -> ()
+  | p :: _ ->
+    line
+      (List.map (fun k -> k.csv_header) p.row.keys
+      @ ("algo" :: List.map (fun m -> m.Metric.name) s.spec.csv)));
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (a, r) ->
+          line
+            (List.map (fun k -> k.csv_text) p.row.keys
+            @ Algo.to_string a
+              :: List.map (fun m -> Metric.to_csv m r) s.spec.csv))
         p.results)
     s.points;
-  Buffer.contents buf
-
-(* --- Fault-rate sweep ---------------------------------------------------- *)
-
-let fault_throughput (p : Experiments.fault_point) algo =
-  match List.assoc_opt algo p.Experiments.fresults with
-  | Some r -> r.Runner.throughput
-  | None -> nan
-
-let pp_fault_series ppf (s : Experiments.fault_series) =
-  Format.fprintf ppf
-    "@[<v>faultsweep: crash/loss/stall storm (HOTCOLD low, wp=0.10)@,";
-  Format.fprintf ppf "throughput (transactions/second)@,";
-  Format.fprintf ppf "%8s" "rate";
-  List.iter (fun a -> Format.fprintf ppf "%9s" (Algo.to_string a)) Algo.all;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (p : Experiments.fault_point) ->
-      Format.fprintf ppf "%8.3f" p.rate;
-      List.iter
-        (fun a -> Format.fprintf ppf "%9.2f" (fault_throughput p a))
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.fpoints;
-  Format.fprintf ppf "fault detail@,";
-  List.iter
-    (fun (p : Experiments.fault_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Format.fprintf ppf
-            "rate=%.3f %-6s tput=%6.2f commits=%5d aborts=%4d crashes=%3d \
-             crash-aborts=%3d lost=%4d dup=%3d retrans=%4d stalls=%4d \
-             recoveries=%3d rec=%5.0fms@,"
-            p.rate (Algo.to_string a) r.Runner.throughput r.Runner.commits
-            r.Runner.aborts r.Runner.crashes r.Runner.crash_aborts
-            r.Runner.msg_losses r.Runner.msg_dups r.Runner.retransmits
-            r.Runner.disk_stalls r.Runner.recoveries
-            (1000.0 *. r.Runner.recovery_mean))
-        p.fresults)
-    s.fpoints;
-  Format.fprintf ppf "@]"
-
-let fault_series_to_csv (s : Experiments.fault_series) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "rate,algo,throughput,resp_ms,commits,aborts,deadlocks,crashes,\
-     crash_aborts,msg_losses,msg_dups,retransmits,disk_stalls,\
-     faults_injected,recoveries,recovery_ms,resp_p50_ms,resp_p99_ms,\
-     lock_wait_p99_ms,retries,retry_wait_p99_ms\n";
-  List.iter
-    (fun (p : Experiments.fault_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%.3f,%s,%.4f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%.1f,%.1f,%.1f,%d,%.1f\n"
-               p.rate (Algo.to_string a) r.Runner.throughput
-               (1000.0 *. r.Runner.resp_mean)
-               r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-               r.Runner.crashes r.Runner.crash_aborts r.Runner.msg_losses
-               r.Runner.msg_dups r.Runner.retransmits r.Runner.disk_stalls
-               r.Runner.faults_injected r.Runner.recoveries
-               (1000.0 *. r.Runner.recovery_mean)
-               (1000.0 *. r.Runner.resp_p50)
-               (1000.0 *. r.Runner.resp_p99)
-               (1000.0 *. r.Runner.lock_wait_p99)
-               r.Runner.retries
-               (1000.0 *. r.Runner.retry_wait_p99)))
-        p.fresults)
-    s.fpoints;
-  Buffer.contents buf
-
-(* --- Shard sweep --------------------------------------------------------- *)
-
-let shard_throughput (p : Experiments.shard_point) algo =
-  match List.assoc_opt algo p.Experiments.sresults with
-  | Some r -> r.Runner.throughput
-  | None -> nan
-
-let pp_shard_series ppf (s : Experiments.shard_series) =
-  Format.fprintf ppf
-    "@[<v>shardsweep: partitioned page server (HOTCOLD low, wp=0.10)@,";
-  Format.fprintf ppf "throughput (transactions/second)@,";
-  Format.fprintf ppf "%8s" "servers";
-  List.iter (fun a -> Format.fprintf ppf "%9s" (Algo.to_string a)) Algo.all;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (p : Experiments.shard_point) ->
-      Format.fprintf ppf "%8d" p.servers;
-      List.iter
-        (fun a -> Format.fprintf ppf "%9.2f" (shard_throughput p a))
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.spoints;
-  Format.fprintf ppf "shard detail@,";
-  List.iter
-    (fun (p : Experiments.shard_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Format.fprintf ppf
-            "srv=%d %-6s tput=%6.2f commits=%5d aborts=%4d dlk=%3d \
-             msgs/c=%6.1f fwd=%5d edges=%5d srvCPU=%4.2f disk=%4.2f \
-             net=%4.2f@,"
-            p.servers (Algo.to_string a) r.Runner.throughput r.Runner.commits
-            r.Runner.aborts r.Runner.deadlocks r.Runner.msgs_per_commit
-            r.Runner.cb_forwards r.Runner.edge_exchanges
-            r.Runner.server_cpu_util r.Runner.disk_util r.Runner.net_util)
-        p.sresults)
-    s.spoints;
-  Format.fprintf ppf "@]"
-
-let shard_series_to_csv (s : Experiments.shard_series) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "servers,algo,throughput,resp_ms,commits,aborts,deadlocks,\
-     msgs_per_commit,cb_forwards,edge_exchanges,disk_ios,server_cpu,\
-     disk_util,net_util,resp_p50_ms,resp_p99_ms,lock_wait_p99_ms\n";
-  List.iter
-    (fun (p : Experiments.shard_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%d,%s,%.4f,%.1f,%d,%d,%d,%.2f,%d,%d,%d,%.3f,%.3f,%.3f,%.1f,%.1f,%.1f\n"
-               p.servers (Algo.to_string a) r.Runner.throughput
-               (1000.0 *. r.Runner.resp_mean)
-               r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-               r.Runner.msgs_per_commit r.Runner.cb_forwards
-               r.Runner.edge_exchanges r.Runner.disk_ios
-               r.Runner.server_cpu_util r.Runner.disk_util r.Runner.net_util
-               (1000.0 *. r.Runner.resp_p50)
-               (1000.0 *. r.Runner.resp_p99)
-               (1000.0 *. r.Runner.lock_wait_p99)))
-        p.sresults)
-    s.spoints;
-  Buffer.contents buf
-
-(* --- Server-fault sweep -------------------------------------------------- *)
-
-let srvfault_throughput (p : Experiments.srvfault_point) algo =
-  match List.assoc_opt algo p.Experiments.svresults with
-  | Some r -> r.Runner.throughput
-  | None -> nan
-
-let pp_srvfault_series ppf (s : Experiments.srvfault_series) =
-  Format.fprintf ppf
-    "@[<v>srvfaultsweep: server crash & recovery (HOTCOLD low, wp=0.10, 2 \
-     servers)@,";
-  Format.fprintf ppf "throughput (transactions/second)@,";
-  Format.fprintf ppf "%8s" "srate";
-  List.iter (fun a -> Format.fprintf ppf "%9s" (Algo.to_string a)) Algo.all;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (p : Experiments.srvfault_point) ->
-      Format.fprintf ppf "%8.3f" p.srate;
-      List.iter
-        (fun a -> Format.fprintf ppf "%9.2f" (srvfault_throughput p a))
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.svpoints;
-  Format.fprintf ppf "server-fault detail@,";
-  List.iter
-    (fun (p : Experiments.srvfault_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Format.fprintf ppf
-            "srate=%.3f %-6s tput=%6.2f commits=%5d aborts=%4d crashes=%3d \
-             recoveries=%3d rec=%6.0fms giveaways=%4d retries=%5d \
-             rwait99=%5.0fms p99=%6.0fms@,"
-            p.srate (Algo.to_string a) r.Runner.throughput r.Runner.commits
-            r.Runner.aborts r.Runner.srv_crashes r.Runner.srv_recoveries
-            (1000.0 *. r.Runner.srv_recovery_mean)
-            r.Runner.srv_giveaways r.Runner.retries
-            (1000.0 *. r.Runner.retry_wait_p99)
-            (1000.0 *. r.Runner.resp_p99))
-        p.svresults)
-    s.svpoints;
-  Format.fprintf ppf "@]"
-
-let srvfault_series_to_csv (s : Experiments.srvfault_series) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "srate,algo,throughput,resp_ms,commits,aborts,deadlocks,srv_crashes,\
-     srv_recoveries,srv_recovery_ms,srv_giveaways,retries,retry_wait_p99_ms,\
-     resp_p50_ms,resp_p99_ms,lock_wait_p99_ms\n";
-  List.iter
-    (fun (p : Experiments.srvfault_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%.3f,%s,%.4f,%.1f,%d,%d,%d,%d,%d,%.1f,%d,%d,%.1f,%.1f,%.1f,%.1f\n"
-               p.srate (Algo.to_string a) r.Runner.throughput
-               (1000.0 *. r.Runner.resp_mean)
-               r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-               r.Runner.srv_crashes r.Runner.srv_recoveries
-               (1000.0 *. r.Runner.srv_recovery_mean)
-               r.Runner.srv_giveaways r.Runner.retries
-               (1000.0 *. r.Runner.retry_wait_p99)
-               (1000.0 *. r.Runner.resp_p50)
-               (1000.0 *. r.Runner.resp_p99)
-               (1000.0 *. r.Runner.lock_wait_p99)))
-        p.svresults)
-    s.svpoints;
-  Buffer.contents buf
-
-(* --- Cluster sweep -------------------------------------------------------- *)
-
-let cluster_throughput (p : Experiments.cluster_point) algo =
-  match List.assoc_opt algo p.Experiments.cresults with
-  | Some r -> r.Runner.throughput
-  | None -> nan
-
-let pp_cluster_series ppf (s : Experiments.cluster_series) =
-  Format.fprintf ppf
-    "@[<v>clustersweep: OCB generic workload, placement x skew (wp=0.20)@,";
-  Format.fprintf ppf "throughput (transactions/second)@,";
-  Format.fprintf ppf "%8s%6s%6s" "policy" "z" "qual";
-  List.iter (fun a -> Format.fprintf ppf "%9s" (Algo.to_string a)) Algo.all;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (p : Experiments.cluster_point) ->
-      Format.fprintf ppf "%8s%6.2f%6.2f"
-        (Workload.Placement.name p.cpolicy)
-        p.ctheta p.cquality;
-      List.iter
-        (fun a -> Format.fprintf ppf "%9.2f" (cluster_throughput p a))
-        Algo.all;
-      Format.fprintf ppf "@,")
-    s.cpoints;
-  Format.fprintf ppf "cluster detail@,";
-  List.iter
-    (fun (p : Experiments.cluster_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Format.fprintf ppf
-            "%s z=%.2f q=%.2f %-6s tput=%6.2f commits=%5d aborts=%4d \
-             dlk=%3d cb-blk=%5d msgs/c=%6.1f p99=%6.1fms@,"
-            (Workload.Placement.name p.cpolicy)
-            p.ctheta p.cquality (Algo.to_string a) r.Runner.throughput
-            r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-            r.Runner.callback_blocks r.Runner.msgs_per_commit
-            (1000.0 *. r.Runner.resp_p99))
-        p.cresults)
-    s.cpoints;
-  Format.fprintf ppf "@]"
-
-let cluster_series_to_csv (s : Experiments.cluster_series) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "policy,theta,quality,algo,throughput,resp_ms,commits,aborts,deadlocks,\
-     callback_blocks,msgs_per_commit,resp_p50_ms,resp_p99_ms,\
-     lock_wait_p99_ms\n";
-  List.iter
-    (fun (p : Experiments.cluster_point) ->
-      List.iter
-        (fun (a, (r : Runner.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%s,%.2f,%.4f,%s,%.4f,%.1f,%d,%d,%d,%d,%.2f,%.1f,%.1f,%.1f\n"
-               (Workload.Placement.name p.cpolicy)
-               p.ctheta p.cquality (Algo.to_string a) r.Runner.throughput
-               (1000.0 *. r.Runner.resp_mean)
-               r.Runner.commits r.Runner.aborts r.Runner.deadlocks
-               r.Runner.callback_blocks r.Runner.msgs_per_commit
-               (1000.0 *. r.Runner.resp_p50)
-               (1000.0 *. r.Runner.resp_p99)
-               (1000.0 *. r.Runner.lock_wait_p99)))
-        p.cresults)
-    s.cpoints;
-  Buffer.contents buf
+  Buffer.contents b
 
 let pp_figure5 ppf curves =
   Format.fprintf ppf

@@ -1,68 +1,28 @@
-(** Rendering of experiment output: the paper-style throughput tables
-    (one row per write probability, one column per algorithm), CSV
-    export, and the workload parameter table (Table 2). *)
+(** Rendering of experiment output: any {!Experiments.spec}'s tables,
+    detail lines and CSV through one code path, plus the parameter
+    tables (Tables 1-2) and Figure 5.  Every number comes from the
+    {!Metric} registry. *)
 
-val pp_series : Format.formatter -> Experiments.series -> unit
-(** Throughput table; normalized figures also print the ratio table
-    relative to PS-AA. *)
+val render : percentiles:bool -> detail:bool -> Experiments.series -> string
+(** The throughput table (one row per spec row, one column per
+    protocol; a normalized spec adds the table relative to PS-AA),
+    then, when asked, the response-time percentiles per cell with the
+    histograms merged per protocol, then the detail block: one line
+    per cell with the spec's detail fields.  Ends with a blank line. *)
 
-val pp_series_detail : Format.formatter -> Experiments.series -> unit
-(** Per-cell auxiliary metrics: messages/commit, aborts, utilizations. *)
+val to_csv : Experiments.series -> string
+(** One header line ([keys],[algo],[metrics]), then one line per cell:
+    the rows' CSV key cells, the protocol and the spec's CSV metrics. *)
+
+val merged_response_hists :
+  Experiments.series -> (Algo.t * Telemetry.Histogram.t) list
+(** Per protocol, the response histograms of every row merged in row
+    order (deterministic for any pool's execution order). *)
 
 val pp_percentiles : Format.formatter -> Runner.result -> unit
 (** Histogram-derived latency percentiles for one run: response
     p50/p90/p99, lock-wait p99, callback round-trip p99, and per
     message class p99 (classes with at least one sample). *)
-
-val pp_series_percentiles : Format.formatter -> Experiments.series -> unit
-(** Response-time p50/p90/p99 per cell, plus a per-algorithm summary of
-    the histograms merged across the series' write probabilities. *)
-
-val merged_response_hists :
-  Experiments.series -> (Algo.t * Telemetry.Histogram.t) list
-(** Per algorithm, the response histograms of every point merged in
-    point order (deterministic for any pool's execution order). *)
-
-val series_to_csv : Experiments.series -> string
-(** CSV with header [write_prob,algo,servers,throughput,resp_ms,...]
-    ending in the percentile fields
-    [resp_p50_ms,resp_p90_ms,resp_p99_ms,lock_wait_p99_ms,cb_round_p99_ms]. *)
-
-val pp_fault_series : Format.formatter -> Experiments.fault_series -> unit
-(** Fault-rate sweep: throughput table (one row per storm rate) plus a
-    per-cell fault detail listing (crashes, losses, retransmissions,
-    stalls, recovery latency). *)
-
-val fault_series_to_csv : Experiments.fault_series -> string
-(** CSV with header [rate,algo,throughput,...,lock_wait_p99_ms] — a
-    separate schema from {!series_to_csv}. *)
-
-val pp_shard_series : Format.formatter -> Experiments.shard_series -> unit
-(** Shard sweep: throughput table (one row per server count) plus a
-    per-cell detail listing (callback forwards, edge exchanges,
-    aggregate server CPU/disk utilization). *)
-
-val shard_series_to_csv : Experiments.shard_series -> string
-(** CSV with header [servers,algo,throughput,...,lock_wait_p99_ms]. *)
-
-val pp_srvfault_series :
-  Format.formatter -> Experiments.srvfault_series -> unit
-(** Server-fault sweep: throughput table (one row per server crash
-    rate) plus a per-cell detail listing (crashes, recovery latency,
-    giveaways, retries, tail response). *)
-
-val srvfault_series_to_csv : Experiments.srvfault_series -> string
-(** CSV with header [srate,algo,throughput,...,lock_wait_p99_ms]. *)
-
-val pp_cluster_series : Format.formatter -> Experiments.cluster_series -> unit
-(** Cluster sweep: throughput table (one row per placement-policy x
-    skew cell, annotated with the layout's clustering quality) plus a
-    per-cell detail listing (callback blocks, messages/commit, tail
-    response). *)
-
-val cluster_series_to_csv : Experiments.cluster_series -> string
-(** CSV with header [policy,theta,quality,algo,throughput,...,
-    lock_wait_p99_ms]. *)
 
 val pp_figure5 : Format.formatter -> (int * (float * float) list) list -> unit
 

@@ -22,25 +22,6 @@ let () =
 
 let default_describe _ = ""
 
-(* Opt-in benchmarking knob: [BENCH_MINOR_MB=<n>] gives every worker
-   domain an [n] MiB minor heap before it pulls its first item (the
-   sequential path tunes the calling domain the same way).  Unset,
-   invalid or non-positive values leave the GC untouched, so ordinary
-   runs are unaffected.  See BENCH_engine.json for measurements. *)
-let bench_minor_words =
-  lazy
-    (match Sys.getenv_opt "BENCH_MINOR_MB" with
-    | None -> None
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some mb when mb > 0 -> Some (mb * 1024 * 1024 / (Sys.word_size / 8))
-      | _ -> None))
-
-let tune_gc () =
-  match Lazy.force bench_minor_words with
-  | None -> ()
-  | Some minor_heap_size -> Gc.set { (Gc.get ()) with minor_heap_size }
-
 (* Each item either yields a result or records an attributed failure;
    one bad cell must not discard the rest of a long sweep, and the
    error must say which cell died, not just how. *)
@@ -69,7 +50,6 @@ let finish ~failures results =
   | fs -> raise (Sweep_failed fs)
 
 let sequential_map ~describe ?progress f items =
-  tune_gc ();
   let items_a = Array.of_list items in
   let n = Array.length items_a in
   let results = Array.make n None in
@@ -102,7 +82,6 @@ let parallel_map ~workers ~describe ?progress f items =
       progress
   in
   let worker () =
-    tune_gc ();
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
@@ -136,6 +115,3 @@ let map ?jobs ?(describe = default_describe) ?progress f items =
 
 let run ?jobs ?progress js =
   map ?jobs ~describe:Job.describe ?progress Job.run js
-
-let run_table ?jobs ?progress (tbl : Job.table) =
-  (tbl, run ?jobs ?progress tbl.Job.jobs)

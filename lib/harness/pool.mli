@@ -8,12 +8,7 @@
     calling domain — exactly the pre-pool code path.
 
     The work items must not share mutable state: each simulation job
-    builds its own {!Oodb_core.Model.sys}, so [Job.run] qualifies.
-
-    Setting [BENCH_MINOR_MB=<n>] in the environment gives each worker
-    domain (and the sequential path) an [n] MiB minor heap via
-    [Gc.set] before it starts — an opt-in benchmarking knob; unset or
-    invalid values leave the GC configuration untouched. *)
+    builds its own {!Oodb_core.Model.sys}, so [Job.run] qualifies. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): leave one
@@ -52,11 +47,3 @@ val run :
   Oodb_core.Job.t list ->
   Oodb_core.Runner.result list
 (** [map] specialized to {!Oodb_core.Job.run}. *)
-
-val run_table :
-  ?jobs:int ->
-  ?progress:(Oodb_core.Job.t -> Oodb_core.Runner.result -> unit) ->
-  Oodb_core.Job.table ->
-  Oodb_core.Job.table * Oodb_core.Runner.result list
-(** Run a titled job table; pair it with its results for the caller's
-    [rows_of]. *)

@@ -65,11 +65,14 @@ let test_storm_golden () =
 
 (* --- Sweep plumbing -------------------------------------------------------- *)
 
+let clustersweep = Grid.spec "clustersweep"
+let cells = List.length (clustersweep.Experiments.rows ())
+
 let test_cluster_jobs_shape () =
-  let jobs = Experiments.cluster_jobs () in
-  let cells = Experiments.cluster_cells () in
+  let jobs = Experiments.jobs_of_spec clustersweep in
+  Alcotest.(check int) "six policy x skew cells" 6 cells;
   Alcotest.(check int) "cells x algos jobs"
-    (List.length cells * List.length Algo.all)
+    (cells * List.length Algo.all)
     (List.length jobs);
   (* Policy-major ordering with distinct labels. *)
   let labels = List.map (fun (j : Job.t) -> j.Job.label) jobs in
@@ -79,47 +82,48 @@ let test_cluster_jobs_shape () =
   Alcotest.(check bool) "first cell is the best-clustered policy" true
     (first.Job.label = Printf.sprintf "dfs z=0.00 %-5s" "PS")
 
-let tiny_series () =
-  let jobs = Experiments.cluster_jobs ~time_scale:0.02 () in
-  Experiments.cluster_series_of_results (List.map Job.run jobs)
+let tiny_series () = Grid.run ~time_scale:0.02 ~jobs:1 clustersweep
+
+(* A row's clustering quality, as its table key cell reads. *)
+let quality (p : Experiments.point) =
+  float_of_string (List.nth p.Experiments.row.Experiments.keys 2).Experiments.csv_text
 
 let test_cluster_series_and_csv () =
   let s = tiny_series () in
-  Alcotest.(check int) "one point per cell"
-    (List.length (Experiments.cluster_cells ()))
-    (List.length s.Experiments.cpoints);
+  Alcotest.(check int) "one point per cell" cells
+    (List.length s.Experiments.points);
   List.iter
-    (fun (p : Experiments.cluster_point) ->
+    (fun (p : Experiments.point) ->
       Alcotest.(check bool) "quality in range" true
-        (p.Experiments.cquality >= 0.0 && p.Experiments.cquality <= 1.0);
+        (quality p >= 0.0 && quality p <= 1.0);
       Alcotest.(check int) "five protocols" (List.length Algo.all)
-        (List.length p.Experiments.cresults))
-    s.Experiments.cpoints;
+        (List.length p.Experiments.results))
+    s.Experiments.points;
   (* dfs cells carry strictly better clustering quality than scatter. *)
   let quality_of policy =
-    (List.find
-       (fun (p : Experiments.cluster_point) -> p.Experiments.cpolicy = policy)
-       s.Experiments.cpoints)
-      .Experiments.cquality
+    quality
+      (List.find
+         (fun (p : Experiments.point) ->
+           String.starts_with
+             ~prefix:(Workload.Placement.name policy ^ " ")
+             p.Experiments.row.Experiments.tag)
+         s.Experiments.points)
   in
   Alcotest.(check bool) "dfs clusters better than scatter" true
     (quality_of Workload.Placement.Dfs_ref
     > quality_of Workload.Placement.Scatter +. 0.1);
-  let csv = Report.cluster_series_to_csv s in
+  let csv = Report.to_csv s in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check string) "csv header"
     "policy,theta,quality,algo,throughput,resp_ms,commits,aborts,deadlocks,callback_blocks,msgs_per_commit,resp_p50_ms,resp_p99_ms,lock_wait_p99_ms"
     (List.hd lines);
   Alcotest.(check int) "csv rows"
-    (List.length (Experiments.cluster_cells ()) * List.length Algo.all)
+    (cells * List.length Algo.all)
     (List.length (List.tl lines));
   (* The table renderer accepts the series. *)
-  let b = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer b in
-  Report.pp_cluster_series ppf s;
-  Format.pp_print_flush ppf ();
   Alcotest.(check bool) "table mentions the sweep" true
-    (Buffer.length b > 0)
+    (String.starts_with ~prefix:"clustersweep: "
+       (Report.render ~percentiles:false ~detail:false s))
 
 (* --- Clustering physics ---------------------------------------------------- *)
 

@@ -126,17 +126,29 @@ let prop_page_write_prob_bounds =
 (* --- Experiments specs ----------------------------------------------------- *)
 
 let test_experiment_specs () =
-  Alcotest.(check int) "eleven figures" 11 (List.length Experiments.all);
+  let ids = List.map (fun s -> s.Experiments.id) Experiments.all in
+  Alcotest.(check int) "eleven figures" 11
+    (List.length (List.filter (String.starts_with ~prefix:"fig") ids));
+  Alcotest.(check int) "twenty-five grids" 25 (List.length ids);
+  Alcotest.(check int) "ids unique" 25 (List.length (List.sort_uniq compare ids));
   Alcotest.(check bool) "fig3 exists" true (Experiments.find "fig3" <> None);
   Alcotest.(check bool) "unknown" true (Experiments.find "fig99" = None);
+  let names = List.map (fun m -> m.Metric.name) Metric.all in
+  Alcotest.(check int) "metric names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
   List.iter
-    (fun spec ->
+    (fun (spec : Experiments.spec) ->
       (* Every spec must produce a valid config and workload. *)
       let cfg = Experiments.cfg_of spec in
       Config.validate cfg;
+      ignore (Experiments.params_of spec ~write_prob:0.1);
       List.iter
-        (fun wp -> ignore (Experiments.params_of spec ~write_prob:wp))
-        spec.Experiments.write_probs)
+        (fun (row : Experiments.row) ->
+          Config.validate row.Experiments.cfg;
+          Workload.Wparams.validate row.Experiments.params
+            ~db_pages:row.Experiments.cfg.Config.db_pages
+            ~objects_per_page:row.Experiments.cfg.Config.objects_per_page)
+        (spec.Experiments.rows ()))
     Experiments.all
 
 let test_figure5_data () =

@@ -122,12 +122,8 @@ let render_series (series : Experiments.series) =
     series.Experiments.points;
   Buffer.contents buf
 
-let fig3_point () =
-  let spec = Option.get (Experiments.find "fig3") in
-  { spec with Experiments.write_probs = [ 0.1 ] }
-
 let test_fault_free_byte_identity () =
-  let series = Harness.Sweep.run_spec ~time_scale:0.1 ~jobs:1 (fig3_point ()) in
+  let series = Grid.run ~jobs:1 (Grid.fig3_point ()) in
   Alcotest.(check string)
     "fault knobs off: fig3 reference point is byte-identical to pre-PR"
     golden_fig3_point (render_series series)
@@ -137,7 +133,7 @@ let test_fault_free_byte_identity () =
    leave every figure byte-identical. *)
 let test_oracle_on_byte_identity () =
   let series =
-    Harness.Sweep.run_spec ~time_scale:0.1 ~oracle:true ~jobs:1 (fig3_point ())
+    Grid.run ~oracle:true ~jobs:1 (Grid.fig3_point ())
   in
   Alcotest.(check string)
     "oracle on: fig3 reference point is byte-identical to oracle off"
@@ -147,7 +143,7 @@ let test_oracle_on_byte_identity () =
    no stream consulted, no event scheduled.  The job key ignores the
    configuration, so both jobs use the same seed. *)
 let test_zero_rate_storm_identity () =
-  let spec = fig3_point () in
+  let spec = Grid.fig3_point () in
   let cfg = Experiments.cfg_of spec in
   let params = Experiments.params_of spec ~write_prob:0.1 in
   let mk cfg =

@@ -5,10 +5,6 @@
 
 open Oodb_core
 
-let fig3_point () =
-  let spec = Option.get (Experiments.find "fig3") in
-  { spec with Experiments.write_probs = [ 0.1 ] }
-
 (* --- Pool mechanics ------------------------------------------------------ *)
 
 let test_pool_map_ordering () =
@@ -90,30 +86,72 @@ let test_seeds_differ_across_sweeps () =
     (List.length (List.sort_uniq compare all))
 
 let test_base_seed_changes_streams () =
-  let spec = fig3_point () in
+  let spec = Grid.fig3_point () in
   let s42 = List.map Job.seed (Experiments.jobs_of_spec ~seed:42 spec) in
   let s7 = List.map Job.seed (Experiments.jobs_of_spec ~seed:7 spec) in
   Alcotest.(check bool) "base seed feeds derivation" true (s42 <> s7)
 
 (* --- End-to-end determinism ---------------------------------------------- *)
 
-let series_points (s : Experiments.series) = s.Experiments.points
 
 let test_parallel_matches_sequential () =
-  let spec = fig3_point () in
-  let seq = Harness.Sweep.run_spec ~time_scale:0.1 ~jobs:1 spec in
-  let par = Harness.Sweep.run_spec ~time_scale:0.1 ~jobs:4 spec in
+  let spec = Grid.fig3_point () in
+  let seq = Grid.run ~jobs:1 spec in
+  let par = Grid.run ~jobs:4 spec in
   Alcotest.(check bool)
     "--jobs 1 and --jobs 4 give identical Runner.result records" true
-    (series_points seq = series_points par)
+    (Grid.results seq = Grid.results par)
 
 let test_sequential_driver_matches_pool () =
-  let spec = fig3_point () in
-  let reference = Experiments.run_spec ~time_scale:0.1 spec in
-  let pooled = Harness.Sweep.run_spec ~time_scale:0.1 ~jobs:4 spec in
+  let spec = Grid.fig3_point () in
+  let reference =
+    Experiments.series_of_results spec
+      (Job.run_all (Experiments.jobs_of_spec ~time_scale:0.1 spec))
+  in
+  let pooled = Grid.run ~jobs:4 spec in
   Alcotest.(check bool)
-    "Experiments.run_spec and the pool agree" true
-    (series_points reference = series_points pooled)
+    "Job.run_all and the pool agree" true
+    (Grid.results reference = Grid.results pooled)
+
+(* The benchmark builds its fig3 sweep with [jobs_of_spec ~seed
+   ~time_scale:0.1] on [find "fig3"]: the same 40 cells (description,
+   configuration, workload, windows) the figure always had, one
+   workload value per write probability shared by the five protocols. *)
+let test_fig3_jobs_unchanged () =
+  let spec = Grid.spec "fig3" in
+  let cfg = Config.scaled Config.default ~factor:1 in
+  let expected =
+    List.concat_map
+      (fun write_prob ->
+        let params =
+          Workload.Presets.make Workload.Presets.Hotcold
+            ~db_pages:cfg.Config.db_pages
+            ~objects_per_page:cfg.Config.objects_per_page
+            ~num_clients:cfg.Config.num_clients ~locality:Workload.Presets.Low
+            ~write_prob
+        in
+        List.map
+          (fun algo ->
+            Job.make ~base_seed:7 ~sweep:"fig3"
+              ~label:
+                (Printf.sprintf "wp=%.2f %-5s" write_prob (Algo.to_string algo))
+              ~cfg ~algo ~params ~warmup:(30.0 *. 0.1) ~measure:(120.0 *. 0.1)
+              ())
+          Algo.all)
+      [ 0.0; 0.02; 0.05; 0.1; 0.15; 0.2; 0.3; 0.5 ]
+  in
+  let jobs = Experiments.jobs_of_spec ~seed:7 ~time_scale:0.1 spec in
+  Alcotest.(check int) "40 cells" 40 (List.length jobs);
+  Alcotest.(check bool) "same jobs, field for field" true (jobs = expected);
+  Alcotest.(check bool) "cfg_of/params_of" true
+    (Experiments.cfg_of spec = cfg
+    && Experiments.params_of spec ~write_prob:0.1
+       = (List.nth expected 15).Job.params);
+  match jobs with
+  | a :: b :: _ ->
+    Alcotest.(check bool) "a row's protocols share one workload" true
+      (a.Job.params == b.Job.params)
+  | _ -> Alcotest.fail "no jobs"
 
 (* --- Engine event budget -------------------------------------------------- *)
 
@@ -147,6 +185,8 @@ let suite =
       test_pool_propagates_exception;
     Alcotest.test_case "pool: sequential failure attribution" `Quick
       test_pool_sequential_failure;
+    Alcotest.test_case "fig3 jobs as the benchmark builds them" `Quick
+      test_fig3_jobs_unchanged;
     Alcotest.test_case "job seeds stable under reordering" `Quick
       test_seeds_stable_under_reordering;
     Alcotest.test_case "job seeds unique across sweeps" `Quick

@@ -296,13 +296,17 @@ let test_buffer_page_write_back () =
 (* --- Report -------------------------------------------------------------- *)
 
 let tiny_series () =
-  let spec = Option.get (Experiments.find "fig3") in
-  let spec = { spec with Experiments.write_probs = [ 0.0 ]; warmup = 2.0; measure = 5.0 } in
-  Experiments.run_spec ~time_scale:0.2 spec
+  let spec = Grid.restrict (Grid.spec "fig3") [ "wp=0.00" ] in
+  let rows () =
+    List.map
+      (fun (r : Experiments.row) -> { r with Experiments.warmup = 2.0; measure = 5.0 })
+      (spec.Experiments.rows ())
+  in
+  Grid.run ~time_scale:0.2 ~jobs:1 { spec with Experiments.rows }
 
 let test_csv_shape () =
   let series = tiny_series () in
-  let csv = Report.series_to_csv series in
+  let csv = Report.to_csv series in
   let lines =
     List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' csv)
   in

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "oodb"
     [
-      ("heap", Test_heap.suite);
       ("rng", Test_rng.suite);
       ("stats", Test_stats.suite);
       ("engine", Test_engine.suite);

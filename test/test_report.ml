@@ -1,6 +1,7 @@
-(* CSV schema round-trip: every row of both exporters must carry
-   exactly as many fields as its header — including the percentile
-   columns — so downstream plotting scripts never mis-align. *)
+(* Rendering: every CSV row must carry exactly as many fields as its
+   header — including the percentile columns — so downstream plotting
+   scripts never mis-align; and the one renderer must reproduce the
+   goldens of the per-sweep printers it replaced. *)
 
 open Oodb_core
 
@@ -26,49 +27,23 @@ let check_arity ~what csv =
 
 let contains_field header f = List.mem f (split_csv header)
 
-(* One small real run, reused for every cell: the schema, not the
-   numbers, is under test. *)
-let result =
-  lazy
-    (let cfg = Config.default in
-     let params =
-       Workload.Presets.make Workload.Presets.Hotcold
-         ~db_pages:cfg.Config.db_pages
-         ~objects_per_page:cfg.Config.objects_per_page
-         ~num_clients:cfg.Config.num_clients ~locality:Workload.Presets.Low
-         ~write_prob:0.1
-     in
-     Runner.run ~warmup:3.0 ~measure:10.0 ~cfg ~algo:Algo.PS_AA ~params ())
+(* Canned results: the schema and the layout, not the numbers, are
+   under test, so nothing here runs a simulation. *)
+let canned_series (spec : Experiments.spec) =
+  Experiments.series_of_results spec
+    (Canned.results (Experiments.jobs_of_spec spec))
 
 let mk_series () =
-  let spec =
-    { (Option.get (Experiments.find "fig3")) with
-      Experiments.write_probs = [ 0.05; 0.1 ] }
-  in
-  let r = Lazy.force result in
-  let point write_prob =
-    {
-      Experiments.write_prob;
-      results = List.map (fun a -> (a, { r with Runner.algo = a })) Algo.all;
-    }
-  in
-  { Experiments.spec; points = List.map point spec.Experiments.write_probs }
+  canned_series (Grid.restrict (Grid.spec "fig3") [ "wp=0.05"; "wp=0.10" ])
 
 let mk_fault_series () =
-  let r = Lazy.force result in
-  let rates = [ 0.0; 0.01 ] in
-  let point rate =
-    {
-      Experiments.rate;
-      fresults = List.map (fun a -> (a, { r with Runner.algo = a })) Algo.all;
-    }
-  in
-  { Experiments.frates = rates; fpoints = List.map point rates }
+  canned_series
+    (Grid.restrict (Grid.spec "faultsweep") [ "rate=0.000"; "rate=0.010" ])
 
 let test_series_csv () =
   let series = mk_series () in
-  let csv = Report.series_to_csv series in
-  let header, rows = check_arity ~what:"series_to_csv" csv in
+  let csv = Report.to_csv series in
+  let header, rows = check_arity ~what:"figure CSV" csv in
   Alcotest.(check int) "one row per (wp, algo) cell"
     (2 * List.length Algo.all)
     (List.length rows);
@@ -102,8 +77,8 @@ let test_series_csv () =
     rows
 
 let test_fault_series_csv () =
-  let csv = Report.fault_series_to_csv (mk_fault_series ()) in
-  let header, rows = check_arity ~what:"fault_series_to_csv" csv in
+  let csv = Report.to_csv (mk_fault_series ()) in
+  let header, rows = check_arity ~what:"faultsweep CSV" csv in
   Alcotest.(check int) "one row per (rate, algo) cell"
     (2 * List.length Algo.all)
     (List.length rows);
@@ -119,7 +94,7 @@ let test_fault_series_csv () =
     ]
 
 let test_percentile_report_renders () =
-  let r = Lazy.force result in
+  let r = Canned.result 0 Algo.PS_AA in
   let s = Format.asprintf "%a" Report.pp_percentiles r in
   let contains sub =
     let n = String.length s and m = String.length sub in
@@ -130,18 +105,18 @@ let test_percentile_report_renders () =
     (contains "response p50/p90/p99");
   Alcotest.(check bool) "mentions lock wait" true (contains "lock wait p99");
   let series = mk_series () in
-  let sp = Format.asprintf "%a" Report.pp_series_percentiles series in
+  let plain = Report.render ~percentiles:false ~detail:false series in
+  let sp = Report.render ~percentiles:true ~detail:false series in
   Alcotest.(check bool) "series percentiles render" true
-    (String.length sp > 100)
+    (String.length sp > String.length plain + 100)
 
 let test_merged_hists () =
   let series = mk_series () in
   let merged = Report.merged_response_hists series in
   Alcotest.(check int) "one merged histogram per algorithm"
     (List.length Algo.all) (List.length merged);
-  let r = Lazy.force result in
   let per_cell =
-    Telemetry.Histogram.count r.Runner.hists.Metrics.h_response
+    Telemetry.Histogram.count (Canned.result 0 Algo.PS).Runner.hists.Metrics.h_response
   in
   List.iter
     (fun ((a : Algo.t), h) ->
@@ -150,6 +125,59 @@ let test_merged_hists () =
         (2 * per_cell)
         (Telemetry.Histogram.count h))
     merged
+
+(* --- Goldens ---------------------------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The files under golden/ were rendered by the per-sweep printers that
+   preceded the shared spec type, from these same canned results: a
+   figure's full --percentiles --detail output, a sweep's table with
+   its detail block, and every CSV.  One code path must reproduce all
+   of them byte for byte. *)
+let test_render_goldens () =
+  List.iter
+    (fun id ->
+      let series = canned_series (Grid.spec id) in
+      let figure = String.sub id 0 3 = "fig" in
+      Alcotest.(check string)
+        (id ^ " table, percentiles and detail")
+        (read_file ("golden/" ^ id ^ ".txt"))
+        (Report.render ~percentiles:figure ~detail:true series);
+      Alcotest.(check string) (id ^ " CSV")
+        (read_file ("golden/" ^ id ^ ".csv"))
+        (Report.to_csv series))
+    [ "fig3"; "fig12"; "faultsweep"; "shardsweep"; "srvfaultsweep"; "clustersweep" ]
+
+let test_every_grid_renders () =
+  List.iter
+    (fun (spec : Experiments.spec) ->
+      let series = canned_series spec in
+      let id = spec.Experiments.id in
+      let _, rows = check_arity ~what:id (Report.to_csv series) in
+      Alcotest.(check int) (id ^ ": one CSV row per cell")
+        (List.length (Experiments.jobs_of_spec spec))
+        (List.length rows);
+      let text = Report.render ~percentiles:true ~detail:true series in
+      Alcotest.(check bool) (id ^ ": table titled") true
+        (String.starts_with ~prefix:(id ^ ": ") text))
+    Experiments.all
+
+(* Every cell's seed key ("sweep/label") and seed, over all 25 grids:
+   the digest of the sorted "describe seed" lines the per-sweep job
+   builders, the sensitivity tables and the ablation tables produced
+   before the grids shared one spec type.  A changed label or window
+   would silently re-seed a cell. *)
+let test_seed_digest () =
+  let lines =
+    List.concat_map (fun s -> Experiments.jobs_of_spec s) Experiments.all
+    |> List.map (fun j -> Printf.sprintf "%s %d\n" (Job.describe j) (Job.seed j))
+    |> List.sort compare
+  in
+  Alcotest.(check int) "cells" 560 (List.length lines);
+  Alcotest.(check string) "digest of (describe, seed) over every cell"
+    "afeea9331ef0bfab0ab006901f16631f"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
 
 let suite =
   [
@@ -160,4 +188,7 @@ let suite =
       test_percentile_report_renders;
     Alcotest.test_case "merged histograms across a series" `Quick
       test_merged_hists;
+    Alcotest.test_case "render goldens: six grids" `Quick test_render_goldens;
+    Alcotest.test_case "every grid renders" `Quick test_every_grid_renders;
+    Alcotest.test_case "seed digest over every grid" `Quick test_seed_digest;
   ]

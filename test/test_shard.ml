@@ -168,19 +168,12 @@ let test_servers1_hash_eq_range () =
 (* --- Parallel-harness identity at servers>1 ------------------------------- *)
 
 let test_sharded_jobs_identity () =
-  let spec =
-    let s = Option.get (Experiments.find "fig3") in
-    { s with Experiments.write_probs = [ 0.1 ] }
-  in
-  let seq =
-    Harness.Sweep.run_spec ~time_scale:0.1 ~servers:3 ~jobs:1 spec
-  in
-  let par =
-    Harness.Sweep.run_spec ~time_scale:0.1 ~servers:3 ~jobs:4 spec
-  in
+  let spec = Grid.fig3_point () in
+  let seq = Grid.run ~servers:3 ~jobs:1 spec in
+  let par = Grid.run ~servers:3 ~jobs:4 spec in
   Alcotest.(check bool)
     "servers=3: --jobs 1 and --jobs 4 give identical results" true
-    (seq.Experiments.points = par.Experiments.points)
+    (Grid.results seq = Grid.results par)
 
 (* --- Sharded conformance --------------------------------------------------- *)
 

@@ -521,8 +521,7 @@ let test_exporter_conformance () =
    capture with the recorder attached and percentiles computed. *)
 let test_timeline_on_byte_identity () =
   let series =
-    Harness.Sweep.run_spec ~time_scale:0.1 ~timeline:true ~jobs:1
-      (Test_faults.fig3_point ())
+    Grid.run ~timeline:true ~jobs:1 (Grid.fig3_point ())
   in
   Alcotest.(check string)
     "timeline on: fig3 reference point is byte-identical to telemetry off"
