@@ -102,64 +102,159 @@ let check_lock_compat sys ~context =
    The whole check is disabled under the [srv_skip_reconstruction]
    sabotage: skipping the rebuild leaves copies permanently uncovered,
    and the point of that knob is proving the serializability oracle —
-   not this audit — catches the resulting write skew. *)
-let check_copy_coverage ?only sys ~context =
+   not this audit — catches the resulting write skew.
+
+   A copy can only become uncovered through three events, each logged
+   at its one mutation site: it enters a cache or a PS-OO slot becomes
+   available again ([sys.page_installs] / [sys.obj_installs], written by
+   Cache_ops), a registration drops to zero ([Copy_table.zeroed]), or a
+   client or partition comes back up ([sys.sweep_pending], set by
+   Crash).  Given that the invariant held at the previous audit, the
+   journal check re-verifies just the logged pairs, for every client;
+   the sweep re-verifies every cached copy.  Every lookup here is
+   [Lru.peek]/[Lru.mem]/[Lru.iter]: recency decides eviction, so the
+   audit must not touch it. *)
+let covered_partition sys p = (Model.server_of sys p).srv_state = Srv_up
+
+(* An object cached under OS ([what] = "object"), or an available slot
+   of a page cached under PS-OO ([what] = "available object"). *)
+let check_object_copy sys ~context ~what cid o =
+  let p = o.Ids.Oid.page in
+  if
+    covered_partition sys p
+    && not
+         (Locking.Copy_table.holds (Model.server_of sys p).ocopies o
+            ~client:cid)
+  then
+    violation sys ~context "client %d caches %s %s without a copy registration"
+      cid what (oid_str o)
+
+(* A page cached under page-grain tracking. *)
+let check_page_registration sys ~context cid p =
+  if
+    covered_partition sys p
+    && not
+         (Locking.Copy_table.holds (Model.server_of sys p).pcopies p
+            ~client:cid)
+  then
+    violation sys ~context
+      "client %d caches page %d without a copy registration" cid p
+
+(* A page cached under PS-OO: one object registration per available
+   slot. *)
+let check_available_slots sys ~context cid p (entry : page_entry) =
+  if covered_partition sys p then
+    for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
+      if not (Ids.Int_set.mem slot entry.unavailable) then
+        check_object_copy sys ~context ~what:"available object" cid
+          (Ids.Oid.make ~page:p ~slot)
+    done
+
+let sweep_coverage sys ~context =
+  let cs = sys.clients in
+  for cid = 0 to cs.n - 1 do
+    if cs.up.(cid) then
+      match sys.algo with
+      | Algo.OS ->
+        Lru.iter cs.ocache.(cid) (fun o _ ->
+            check_object_copy sys ~context ~what:"object" cid o)
+      | Algo.PS_OO ->
+        Lru.iter cs.cache.(cid) (fun p entry ->
+            check_available_slots sys ~context cid p entry)
+      | Algo.PS | Algo.PS_OA | Algo.PS_AA ->
+        Lru.iter cs.cache.(cid) (fun p _ ->
+            check_page_registration sys ~context cid p)
+  done
+
+(* Journal entry for page [p] at client [cid]: a page install, or a
+   page registration that dropped to zero. *)
+let recheck_page sys ~context p cid =
+  let cs = sys.clients in
+  if cs.up.(cid) then
+    match sys.algo with
+    | Algo.PS | Algo.PS_OA | Algo.PS_AA ->
+      if Lru.mem cs.cache.(cid) p then
+        check_page_registration sys ~context cid p
+    | Algo.PS_OO -> (
+      match Lru.peek cs.cache.(cid) p with
+      | Some entry -> check_available_slots sys ~context cid p entry
+      | None -> ())
+    | Algo.OS -> ()
+
+(* Journal entry for object [o] at client [cid]: an object install, or
+   an object registration that dropped to zero. *)
+let recheck_object sys ~context o cid =
+  let cs = sys.clients in
+  if cs.up.(cid) then
+    match sys.algo with
+    | Algo.OS ->
+      if Lru.mem cs.ocache.(cid) o then
+        check_object_copy sys ~context ~what:"object" cid o
+    | Algo.PS_OO -> (
+      match Lru.peek cs.cache.(cid) o.Ids.Oid.page with
+      | Some entry when not (Ids.Int_set.mem o.Ids.Oid.slot entry.unavailable)
+        ->
+        check_object_copy sys ~context ~what:"available object" cid o
+      | Some _ | None -> ())
+    | Algo.PS | Algo.PS_OA | Algo.PS_AA -> ()
+
+(* Loops, not closures: this runs at every boundary. *)
+let recheck_pages sys ~context j =
+  for i = 0 to Locking.Journal.length j - 1 do
+    recheck_page sys ~context (Locking.Journal.item j i)
+      (Locking.Journal.site j i)
+  done
+
+let recheck_objects sys ~context j =
+  for i = 0 to Locking.Journal.length j - 1 do
+    recheck_object sys ~context (Locking.Journal.item j i)
+      (Locking.Journal.site j i)
+  done
+
+let must_sweep sys =
+  let sweep =
+    ref
+      (sys.sweep_pending
+      || Locking.Journal.overflowed sys.page_installs
+      || Locking.Journal.overflowed sys.obj_installs)
+  in
+  for sid = 0 to Array.length sys.servers - 1 do
+    let sv = sys.servers.(sid) in
+    sweep :=
+      !sweep
+      || Locking.Journal.overflowed (Locking.Copy_table.zeroed sv.pcopies)
+      || Locking.Journal.overflowed (Locking.Copy_table.zeroed sv.ocopies)
+  done;
+  !sweep
+
+let clear_journal sys =
+  Locking.Journal.clear sys.page_installs;
+  Locking.Journal.clear sys.obj_installs;
+  for sid = 0 to Array.length sys.servers - 1 do
+    let sv = sys.servers.(sid) in
+    Locking.Journal.clear (Locking.Copy_table.zeroed sv.pcopies);
+    Locking.Journal.clear (Locking.Copy_table.zeroed sv.ocopies)
+  done;
+  sys.sweep_pending <- false
+
+(* The journal is cleared only once the check has passed, so a state
+   that failed one audit fails the next one too, whatever its scope.
+   It is drained even when the sabotage skips the check, which keeps
+   it bounded. *)
+let check_copy_coverage ~journal sys ~context =
   if not sys.cfg.Config.srv_skip_reconstruction then begin
-    let cs = sys.clients in
-    let check_client cid =
-      if cs.up.(cid) then
-        let covered_partition p = (Model.server_of sys p).srv_state = Srv_up in
-        if Algo.page_grain_copies sys.algo then
-          Lru.iter cs.cache.(cid) (fun p _ ->
-              if
-                covered_partition p
-                && not
-                     (Locking.Copy_table.holds (Model.server_of sys p).pcopies
-                        p ~client:cid)
-              then
-                violation sys ~context
-                  "client %d caches page %d without a copy registration" cid p)
-        else if sys.algo = Algo.OS then
-          Lru.iter cs.ocache.(cid) (fun o _ ->
-              if
-                covered_partition o.Ids.Oid.page
-                && not
-                     (Locking.Copy_table.holds
-                        (Model.server_of sys o.Ids.Oid.page).ocopies o
-                        ~client:cid)
-              then
-                violation sys ~context
-                  "client %d caches object %s without a copy registration" cid
-                  (oid_str o))
-        else
-          (* PS-OO: object-grain registrations for the available slots
-             of each cached page. *)
-          Lru.iter cs.cache.(cid) (fun p entry ->
-              if covered_partition p then
-                for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-                  if not (Ids.Int_set.mem slot entry.unavailable) then
-                    let o = Ids.Oid.make ~page:p ~slot in
-                    if
-                      not
-                        (Locking.Copy_table.holds
-                           (Model.server_of sys p).ocopies o ~client:cid)
-                    then
-                      violation sys ~context
-                        "client %d caches available object %s without a \
-                         copy registration"
-                        cid (oid_str o)
-                done)
-    in
-    (* Per-transaction-boundary audits scope to the one client whose
-       cache changed; the full sweep remains for fault handlers and the
-       negative tests that corrupt arbitrary clients. *)
-    match only with
-    | Some cid -> check_client cid
-    | None ->
-      for cid = 0 to cs.n - 1 do
-        check_client cid
+    if journal && not (must_sweep sys) then begin
+      recheck_pages sys ~context sys.page_installs;
+      recheck_objects sys ~context sys.obj_installs;
+      for sid = 0 to Array.length sys.servers - 1 do
+        let sv = sys.servers.(sid) in
+        recheck_pages sys ~context (Locking.Copy_table.zeroed sv.pcopies);
+        recheck_objects sys ~context (Locking.Copy_table.zeroed sv.ocopies)
       done
-  end
+    end
+    else sweep_coverage sys ~context
+  end;
+  clear_journal sys
 
 (* Invariant 4: a crashed client was fully reclaimed — cold caches, no
    transaction, no copy-table presence (it must not be a callback
@@ -247,15 +342,8 @@ let check_crashed_servers sys ~context =
           violation sys ~context
             "down server %d still holds %d page / %d object locks" sv.sid pl
             ol;
-        let copies table =
-          let acc = ref 0 in
-          for cid = 0 to sys.clients.n - 1 do
-            acc := !acc + Locking.Copy_table.client_copies table ~client:cid
-          done;
-          !acc
-        in
-        let pc = copies sv.pcopies in
-        let oc = copies sv.ocopies in
+        let pc = Locking.Copy_table.copies sv.pcopies in
+        let oc = Locking.Copy_table.copies sv.ocopies in
         if pc > 0 || oc > 0 then
           violation sys ~context
             "down server %d still registers %d page / %d object copies" sv.sid
@@ -271,14 +359,18 @@ let check_crashed_servers sys ~context =
       end)
     sys.servers
 
-let check ?(context = "") ?coverage_of sys =
+let check_all ~journal sys ~context =
   check_lock_liveness sys ~context;
   check_lock_compat sys ~context;
-  check_copy_coverage ?only:coverage_of sys ~context;
+  check_copy_coverage ~journal sys ~context;
   check_crashed_clients sys ~context;
   check_acyclic sys ~context;
   check_update_disjoint sys ~context;
   check_crashed_servers sys ~context
 
+let check ?(context = "") ?coverage_of sys =
+  check_all ~journal:(Option.is_some coverage_of) sys ~context
+
 let install sys =
-  Faults.set_hook sys.faults (fun context -> check ~context sys)
+  Faults.set_hook sys.faults (fun context ->
+      check_all ~journal:true sys ~context)

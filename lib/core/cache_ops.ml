@@ -72,6 +72,9 @@ let mark_unavailable sys cid oid =
     end
 
 let install_page sys cid txn p ~unavailable ~version =
+  (* Both branches can add coverage obligations: a new copy, or a
+     refresh whose slots become available again. *)
+  Locking.Journal.push sys.page_installs p ~site:cid;
   match Lru.find sys.clients.cache.(cid) p with
   | Some entry ->
     (* Re-receiving a page we still cache: the incoming copy replaces
@@ -116,6 +119,7 @@ let install_object sys cid oid =
           Oracle.History.install_copy o ~client:cid ~oid);
     None
   | None -> (
+    Locking.Journal.push sys.obj_installs oid ~site:cid;
     Model.oracle_hook sys (fun o ->
         Oracle.History.install_copy o ~client:cid ~oid);
     match Lru.add sys.clients.ocache.(cid) oid { odirty = false } with

@@ -10,6 +10,11 @@
     copy in transit survives the concurrent purge of its predecessor;
     at quiescence the tables exactly mirror the client caches.
 
+    This module is the only code that adds copies to client caches or
+    makes page slots available, so its two install functions log every
+    such change in the audit's coverage journal
+    ({!Model.sys.page_installs}, {!Model.sys.obj_installs}).
+
     Clients are addressed by id (the index into {!Model.clients}). *)
 
 open Storage

@@ -72,6 +72,7 @@ let restart_client sys cid =
   let cs = sys.clients in
   if not cs.up.(cid) then begin
     cs.up.(cid) <- true;
+    sys.sweep_pending <- true;
     Trace.event sys "client %d restarted (cold cache)" cid;
     Model.tl_hook sys (fun x ->
         Tl.restart x ~client:cid ~now:(Engine.now sys.engine));
@@ -227,8 +228,10 @@ let restart_server sys sid =
     done;
     Model.tl_hook sys (fun x ->
         Tl.srv_reconstruct x ~sid ~rows:!total ~now:(Engine.now sys.engine));
-    (* Phase 3: reopen. *)
+    (* Phase 3: reopen.  Every cached copy of the partition is covered
+       again from here on, which the audit's journal cannot express. *)
     sv.srv_state <- Srv_up;
+    sys.sweep_pending <- true;
     let now = Engine.now sys.engine in
     Faults.note_srv_recovery sys.faults ~latency:(now -. sv.srv_crashed_at);
     Trace.event sys

@@ -85,6 +85,13 @@ type sys = {
      used to scan every client. *)
   by_tid : (int, txn) Hashtbl.t;
   updaters : (Ids.Oid.t, txn list) Hashtbl.t;
+  (* Copy-coverage journal, drained by every audit: copies installed
+     since the last audit (Cache_ops is the only code that adds to
+     client caches), and a flag set by up-transitions (client restart,
+     server reopen), which the journal cannot express. *)
+  page_installs : Ids.page Locking.Journal.t;
+  obj_installs : Ids.Oid.t Locking.Journal.t;
+  mutable sweep_pending : bool;
   mutable next_tid : int;
   mutable live : bool;
 }
@@ -341,6 +348,9 @@ let create ~cfg ~algo ~params ~seed =
       timeline;
       by_tid = Hashtbl.create 256;
       updaters = Hashtbl.create 256;
+      page_installs = Locking.Journal.create ();
+      obj_installs = Locking.Journal.create ();
+      sweep_pending = false;
       next_tid = 1;
       live = true;
     }

@@ -139,6 +139,16 @@ type sys = {
       (** running transactions with the object in their [updated] set
           (maintained by [note_updater] / [clear_running]); O(1)
           write-isolation assertion *)
+  page_installs : Ids.page Locking.Journal.t;
+      (** (page, client) for every page copy installed or refreshed
+          since the last audit ({!Cache_ops.install_page}); a refresh
+          can make PS-OO slots available again *)
+  obj_installs : Ids.Oid.t Locking.Journal.t;
+      (** (object, client) for every object copy installed since the
+          last audit ({!Cache_ops.install_object}) *)
+  mutable sweep_pending : bool;
+      (** the next audit must sweep every cache: a client restarted or
+          a server reopened since the last one *)
   mutable next_tid : int;
   mutable live : bool;
       (** cleared at simulation end so client loops stop resubmitting *)

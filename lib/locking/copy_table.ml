@@ -12,7 +12,12 @@
    The ascending order of [holders] is load-bearing: callback fan-out
    iterates it, so it determines message order and therefore the RNG
    draw sequence.  The sorted vector reproduces the dense scan's
-   ascending order exactly. *)
+   ascending order exactly.
+
+   [zeroed] logs every (item, site) pair whose refcount reaches zero,
+   from [unregister] and [purge_client] alike: these are the only ways
+   a registration disappears, so the audit's coverage check re-checks
+   just those pairs (see Audit). *)
 
 type row = {
   mutable cids : int array; (* holder sites, ascending; first [len] live *)
@@ -26,11 +31,18 @@ type 'item t = {
      sites never touch most servers' tables. *)
   index : ('item, int) Hashtbl.t option array;
   mutable total : int; (* (item, site) pairs with count > 0 *)
+  zeroed : 'item Journal.t;
 }
 
 let create ~clients =
   if clients <= 0 then invalid_arg "Copy_table.create: clients";
-  { clients; rows = Hashtbl.create 1024; index = Array.make clients None; total = 0 }
+  {
+    clients;
+    rows = Hashtbl.create 1024;
+    index = Array.make clients None;
+    total = 0;
+    zeroed = Journal.create ();
+  }
 
 let check_client t client =
   if client < 0 || client >= t.clients then
@@ -102,6 +114,7 @@ let unregister t item ~client =
     | Some 1 ->
       Hashtbl.remove h item;
       t.total <- t.total - 1;
+      Journal.push t.zeroed item ~site:client;
       let row = Hashtbl.find t.rows item in
       row_remove row client;
       if row.len = 0 then Hashtbl.remove t.rows item
@@ -113,7 +126,11 @@ let refs t item ~client =
   | None -> 0
   | Some h -> ( match Hashtbl.find_opt h item with Some n -> n | None -> 0)
 
-let holds t item ~client = refs t item ~client > 0
+(* An index entry exists exactly while its count is positive; [mem]
+   answers without allocating an option. *)
+let holds t item ~client =
+  check_client t client;
+  match t.index.(client) with None -> false | Some h -> Hashtbl.mem h item
 
 let holders t item =
   match Hashtbl.find_opt t.rows item with
@@ -152,9 +169,12 @@ let purge_client t ~client =
     Hashtbl.iter
       (fun item _refs ->
         t.total <- t.total - 1;
+        Journal.push t.zeroed item ~site:client;
         let row = Hashtbl.find t.rows item in
         row_remove row client;
         if row.len = 0 then Hashtbl.remove t.rows item)
       h;
     t.index.(client) <- None;
     n
+
+let zeroed t = t.zeroed

@@ -52,3 +52,9 @@ val purge_client : 'item t -> client:int -> int
     copies still in transit — and return how many items were affected.
     Used when the site crashes: its volatile cache is gone, so it must
     stop being a callback target immediately. *)
+
+val zeroed : 'item t -> 'item Journal.t
+(** Every (item, site) pair whose refcount dropped to zero since the
+    journal was last cleared, through {!unregister} or {!purge_client}.
+    The audit drains it to re-check only copies that may have lost
+    their coverage. *)

@@ -1,6 +1,6 @@
 (* Fault-injection subsystem tests.
 
-   Four layers of assurance:
+   Five layers of assurance:
    - unit behaviour of the [Faults] profiles and streams (off draws
      nothing, storms are deterministic in the seed);
    - the golden byte-identity property: with every fault knob off, a
@@ -11,7 +11,9 @@
      after every injected fault) never fires;
    - direct crash orchestration: [Crash.crash_client] reclaims all
      server-side state for the site, and the auditor actually detects
-     deliberately corrupted states (the checks are not vacuous). *)
+     deliberately corrupted states (the checks are not vacuous);
+   - the audit's coverage journal: it agrees with the full sweep under
+     storms, and each of its sources catches its own corruption. *)
 
 open Oodb_core
 open Storage
@@ -231,33 +233,196 @@ let test_crash_reclaims_state () =
 
 (* The auditor must reject corrupted states, otherwise the storm tests
    are vacuous. *)
+let expect_violation ?coverage_of sys what corrupt restore =
+  corrupt ();
+  (match Audit.check sys ~context:"negative-test" ?coverage_of with
+  | () -> Alcotest.fail ("audit accepted " ^ what)
+  | exception Audit.Violation _ -> ());
+  restore ()
+
 let test_audit_detects_corruption () =
   let sys = mk_running_sys ~algo:Algo.PS_AA ~seed:6 in
   Simcore.Engine.run_until sys.Model.engine 10.0;
   sys.Model.live <- false;
-  let expect_violation what corrupt restore =
-    corrupt ();
-    (match Audit.check sys ~context:"negative-test" with
-    | () -> Alcotest.fail ("audit accepted " ^ what)
-    | exception Audit.Violation _ -> ());
-    restore ()
-  in
   let cs = sys.Model.clients in
   Alcotest.(check bool)
     "client has cached pages" true
     (Lru.size cs.Model.cache.(0) > 0);
-  expect_violation "a down client with live state"
+  expect_violation sys "a down client with live state"
     (fun () -> cs.Model.up.(0) <- false)
     (fun () -> cs.Model.up.(0) <- true);
+  Audit.check sys ~context:"pre-corruption state was clean (up flag restored)"
+    ~coverage_of:1;
   (* Unregistering a live client's copies breaks callback coverage. *)
-  expect_violation "a cached page with no copy registration"
+  expect_violation sys "a cached page with no copy registration"
     (fun () ->
       ignore
         (Locking.Copy_table.purge_client sys.Model.servers.(0).pcopies ~client:0
           : int))
     (fun () -> ());
-  Audit.check sys ~context:"pre-corruption state was clean (up flag restored)"
-    ~coverage_of:1
+  (* The boundary scope names client 1, but the journal check covers
+     every client, and a failed audit keeps its journal. *)
+  expect_violation sys ~coverage_of:1 "the purge at client 0 under scope 1"
+    (fun () -> ())
+    (fun () -> ())
+
+(* --- Coverage journal ----------------------------------------------------- *)
+
+(* Soundness against the full sweep: under a storm, at every point where
+   a transaction ended or a fault struck, the journal check (which has
+   already run there inside the simulation) and then the sweep must
+   both pass. *)
+let journal_vs_sweep algo () =
+  List.iter
+    (fun servers ->
+      let cfg =
+        {
+          Config.default with
+          Config.servers;
+          client_buf_frac = 0.05;
+          faults =
+            { (Faults.storm ~rate:0.05) with Faults.srv_crash_rate = 0.25 };
+        }
+      in
+      let params =
+        Workload.Presets.make Workload.Presets.Hotcold
+          ~db_pages:cfg.Config.db_pages
+          ~objects_per_page:cfg.Config.objects_per_page
+          ~num_clients:cfg.Config.num_clients ~locality:Workload.Presets.Low
+          ~write_prob:0.2
+      in
+      let sys = Model.create ~cfg ~algo ~params ~seed:11 in
+      Netlayer.install_edge_exchange sys;
+      Audit.install sys;
+      Client.start sys;
+      Crash.install sys;
+      let engine = sys.Model.engine and m = sys.Model.metrics in
+      let last = ref (0, 0) in
+      while
+        Simcore.Engine.now engine < 12.0
+        && Simcore.Engine.step ~max_events:2_000_000 engine
+      do
+        let seen =
+          ( Metrics.commits m + Metrics.aborts m,
+            Faults.injected sys.Model.faults )
+        in
+        if seen <> !last then begin
+          last := seen;
+          Audit.check sys ~context:"journal" ~coverage_of:0;
+          Audit.check sys ~context:"sweep"
+        end
+      done;
+      sys.Model.live <- false;
+      Alcotest.(check bool)
+        (Printf.sprintf "faults struck (%d servers)" servers)
+        true
+        (Faults.injected sys.Model.faults > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "a server reopened (%d servers)" servers)
+        true
+        (Faults.srv_recoveries sys.Model.faults > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "transactions ended (%d servers)" servers)
+        true
+        (Metrics.commits m > 0))
+    [ 1; 2 ]
+
+(* A cached page of client [cid] that is fully registered. *)
+let registered_page sys cid =
+  let cs = sys.Model.clients in
+  Lru.fold cs.Model.cache.(cid) ~init:None ~f:(fun acc p _ ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+        if
+          Locking.Copy_table.holds (Model.server_of sys p).Model.pcopies p
+            ~client:cid
+        then Some p
+        else None)
+  |> Option.get
+
+(* Source 1: a registration dropping to zero.  The page belongs to
+   client 0, a bystander to the boundary scope (client 1). *)
+let test_journal_catches_unregister () =
+  let sys = mk_running_sys ~algo:Algo.PS_AA ~seed:6 in
+  Simcore.Engine.run_until sys.Model.engine 10.0;
+  sys.Model.live <- false;
+  Audit.check sys ~context:"clean" ~coverage_of:1;
+  let p = registered_page sys 0 in
+  let table = (Model.server_of sys p).Model.pcopies in
+  expect_violation sys ~coverage_of:1 "a bystander's unregistered page"
+    (fun () ->
+      while Locking.Copy_table.holds table p ~client:0 do
+        Locking.Copy_table.unregister table p ~client:0
+      done)
+    (fun () -> ())
+
+(* Source 2: a site's registrations purged wholesale. *)
+let test_journal_catches_purge () =
+  let sys = mk_running_sys ~algo:Algo.OS ~seed:6 in
+  Simcore.Engine.run_until sys.Model.engine 10.0;
+  sys.Model.live <- false;
+  Audit.check sys ~context:"clean" ~coverage_of:1;
+  Alcotest.(check bool)
+    "client 0 caches objects" true
+    (Lru.size sys.Model.clients.Model.ocache.(0) > 0);
+  expect_violation sys ~coverage_of:1 "a bystander's purged registrations"
+    (fun () ->
+      ignore
+        (Locking.Copy_table.purge_client sys.Model.servers.(0).ocopies
+           ~client:0
+          : int))
+    (fun () -> ())
+
+(* Source 3: a PS-OO page refresh makes a slot available again, and the
+   shipment that carried it registered every slot but that one.  No
+   registration dropped to zero, so only the install journal sees it. *)
+let test_journal_catches_install () =
+  let cfg = { Config.default with Config.num_clients = 2 } in
+  let params =
+    Workload.Presets.make Workload.Presets.Uniform ~db_pages:cfg.Config.db_pages
+      ~objects_per_page:cfg.Config.objects_per_page ~num_clients:2
+      ~locality:Workload.Presets.Low ~write_prob:0.0
+  in
+  let sys = Model.create ~cfg ~algo:Algo.PS_OO ~params ~seed:3 in
+  let txn =
+    {
+      Model.tid = Model.fresh_tid sys;
+      client = 0;
+      epoch = 0;
+      ops = [||];
+      started = 0.0;
+      first_started = 0.0;
+      restarts = 0;
+      read_pages = Ids.Page_set.empty;
+      read_objs = Ids.Oid_set.empty;
+      wpages = Ids.Page_set.empty;
+      wobjs = Ids.Oid_set.empty;
+      updated = Ids.Oid_set.empty;
+      doomed = false;
+      rpc_sid = -1;
+    }
+  in
+  let p = 5 and gap = 3 in
+  let ship ~except =
+    for slot = 0 to cfg.Config.objects_per_page - 1 do
+      if slot <> except then
+        Locking.Copy_table.register sys.Model.servers.(0).ocopies
+          (Ids.Oid.make ~page:p ~slot) ~client:0
+    done
+  in
+  ship ~except:gap;
+  ignore
+    (Cache_ops.install_page sys 0 txn p ~unavailable:(Ids.Int_set.singleton gap)
+       ~version:0);
+  Audit.check sys ~context:"clean" ~coverage_of:1;
+  expect_violation sys ~coverage_of:1 "an available slot with no registration"
+    (fun () ->
+      ship ~except:gap;
+      ignore
+        (Cache_ops.install_page sys 0 txn p ~unavailable:Ids.Int_set.empty
+           ~version:1))
+    (fun () -> ())
 
 let suite =
   [
@@ -286,4 +451,17 @@ let suite =
         test_crash_reclaims_state;
       Alcotest.test_case "audit detects corruption" `Quick
         test_audit_detects_corruption;
+      Alcotest.test_case "journal catches unregister" `Quick
+        test_journal_catches_unregister;
+      Alcotest.test_case "journal catches purge" `Quick
+        test_journal_catches_purge;
+      Alcotest.test_case "journal catches install" `Quick
+        test_journal_catches_install;
     ]
+  @ List.map
+      (fun algo ->
+        Alcotest.test_case
+          (Printf.sprintf "journal vs sweep, storm (%s)"
+             (Algo.to_string algo))
+          `Quick (journal_vs_sweep algo))
+      Algo.all

@@ -31,6 +31,45 @@ let test_copy_unregister () =
   Alcotest.(check int) "total" 0 (Copy_table.copies ct);
   Alcotest.(check bool) "holds" false (Copy_table.holds ct "p1" ~client:1)
 
+let journal_pairs j =
+  List.init (Journal.length j) (fun i -> (Journal.item j i, Journal.site j i))
+
+(* Only a refcount reaching zero is logged, from either release path. *)
+let test_copy_zeroed_journal () =
+  let ct = Copy_table.create ~clients:4 in
+  Copy_table.register ct "p1" ~client:1;
+  Copy_table.register ct "p1" ~client:1;
+  Copy_table.register ct "p2" ~client:3;
+  Copy_table.unregister ct "p1" ~client:1;
+  Alcotest.(check (list (pair string int)))
+    "1 -> 0 only" [] (journal_pairs (Copy_table.zeroed ct));
+  Copy_table.unregister ct "p1" ~client:1;
+  ignore (Copy_table.purge_client ct ~client:3 : int);
+  Alcotest.(check (list (pair string int)))
+    "unregister then purge"
+    [ ("p1", 1); ("p2", 3) ]
+    (journal_pairs (Copy_table.zeroed ct))
+
+(* Past its capacity a journal forgets its entries and reports the
+   overflow until cleared, so an undrained journal stays bounded. *)
+let test_journal_overflow () =
+  let j = Journal.create () in
+  for i = 1 to Journal.capacity do
+    Journal.push j i ~site:0
+  done;
+  Alcotest.(check bool) "at capacity" false (Journal.overflowed j);
+  Alcotest.(check int) "entries kept" Journal.capacity
+    (List.length (journal_pairs j));
+  Journal.push j 0 ~site:0;
+  Journal.push j 0 ~site:0;
+  Alcotest.(check bool) "overflowed" true (Journal.overflowed j);
+  Alcotest.(check int) "entries dropped" 0 (List.length (journal_pairs j));
+  Journal.clear j;
+  Journal.push j 7 ~site:2;
+  Alcotest.(check bool) "clear resets" false (Journal.overflowed j);
+  Alcotest.(check (list (pair int int)))
+    "logs again" [ (7, 2) ] (journal_pairs j)
+
 (* --- Lock table: grants -------------------------------------------------- *)
 
 let test_immediate_grant () =
@@ -405,6 +444,9 @@ let suite =
   [
     Alcotest.test_case "copy table register" `Quick test_copy_register;
     Alcotest.test_case "copy table unregister" `Quick test_copy_unregister;
+    Alcotest.test_case "copy table zeroed journal" `Quick
+      test_copy_zeroed_journal;
+    Alcotest.test_case "journal overflow" `Quick test_journal_overflow;
     Alcotest.test_case "immediate grant" `Quick test_immediate_grant;
     Alcotest.test_case "re-acquire held lock" `Quick test_reacquire_held;
     Alcotest.test_case "probe on free item" `Quick test_probe_free_item;
