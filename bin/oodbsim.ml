@@ -116,9 +116,30 @@ let locality_conv =
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.is_directory dir -> ()
   end
+
+(* Output paths are checked before the run, so a bad one costs a
+   one-line error instead of a whole simulation and a backtrace.  The
+   probe leaves the file system as it found it. *)
+let cannot_write msg =
+  Format.eprintf "oodbsim: cannot write %s@." msg;
+  exit 2
+
+let check_writable path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+    close_out oc;
+    if not existed then Sys.remove path
+  | exception Sys_error msg -> cannot_write msg
+
+let check_dump_dir dir =
+  (try mkdir_p dir with Sys_error msg -> cannot_write msg);
+  check_writable (Filename.concat dir "oracle-0.txt")
 
 (* On oracle failure, write each violating cell's full history next to
    the error message so the run can be analysed offline (CI uploads the
@@ -131,7 +152,6 @@ let write_oracle_dumps ~dump_dir failures =
       (fun (f : Harness.Pool.failure) ->
         match f.Harness.Pool.error with
         | Runner.Oracle_failed (msg, dump) ->
-          mkdir_p dir;
           let path =
             Filename.concat dir
               (Printf.sprintf "oracle-%d.txt" f.Harness.Pool.index)
@@ -159,13 +179,12 @@ let timeline_path base ~multi ~label =
     Filename.concat dir (Printf.sprintf "%s-%s%s" stem label ext)
 
 let run algo workload locality write_probs clients db_scale servers partition
-    seed njobs warmup measure verbose trace oracle oracle_dump_dir
+    seed njobs warmup measure verbose oracle oracle_dump_dir
     timeline_file percentiles crash_rate restart_delay msg_loss msg_dup
     disk_stall srv_crash_rate srv_restart_delay log_flush
     skip_reconstruction max_events generic objects classes fanout graph_depth
     placement zipf mix traversal_depth match_size update_size think diurnal
     flash =
-  if trace then Oodb_core.Trace.setup ~level:(Some Logs.Debug);
   let write_probs = if write_probs = [] then [ 0.1 ] else write_probs in
   let faults =
     {
@@ -254,6 +273,18 @@ let run algo workload locality write_probs clients db_scale servers partition
       Format.eprintf "oodbsim: %s@." msg;
       exit 2
   in
+  let multi = List.length jobs > 1 in
+  let timeline_of (j : Job.t) =
+    Option.map
+      (fun base ->
+        timeline_path base ~multi
+          ~label:
+            (Printf.sprintf "wp%s"
+               (Scanf.sscanf j.Job.label "wp=%s" (fun s -> s))))
+      timeline_file
+  in
+  List.iter (fun j -> Option.iter check_writable (timeline_of j)) jobs;
+  Option.iter check_dump_dir oracle_dump_dir;
   let results =
     try Harness.Pool.run ~jobs:njobs jobs
     with Harness.Pool.Sweep_failed failures as e ->
@@ -265,19 +296,13 @@ let run algo workload locality write_probs clients db_scale servers partition
       write_oracle_dumps ~dump_dir:oracle_dump_dir failures;
       raise e
   in
-  let multi = List.length jobs > 1 in
   List.iter2
     (fun (j : Job.t) r ->
       if multi then Format.printf "--- %s ---@." j.Job.label;
-      Format.printf "%a@." Runner.pp_result r;
+      Format.printf "%a@." Report.pp_result r;
       if percentiles then Format.printf "%a@." Report.pp_percentiles r;
-      match (timeline_file, r.Runner.timeline) with
-      | Some base, Some tl ->
-        let label =
-          Printf.sprintf "wp%s"
-            (Scanf.sscanf j.Job.label "wp=%s" (fun s -> s))
-        in
-        let path = timeline_path base ~multi ~label in
+      match (timeline_of j, r.Runner.timeline) with
+      | Some path, Some tl ->
         let dropped = Telemetry.Perfetto.write_file tl ~path in
         Format.printf "timeline: %d events -> %s%s@."
           (Telemetry.Timeline.length tl)
@@ -375,11 +400,6 @@ let measure_t =
 
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Also print parameter tables")
-
-let trace_t =
-  Arg.(
-    value & flag
-    & info [ "trace" ] ~doc:"Stream kernel events (commits, de-escalations, callbacks) to stderr")
 
 let oracle_t =
   Arg.(
@@ -630,7 +650,7 @@ let cmd =
     (Cmd.info "oodbsim" ~doc)
     Term.(
       const run $ algo_t $ workload_t $ locality_t $ wp_t $ clients_t $ scale_t
-      $ servers_t $ partition_t $ seed_t $ jobs_t $ warmup_t $ measure_t $ verbose_t $ trace_t $ oracle_t
+      $ servers_t $ partition_t $ seed_t $ jobs_t $ warmup_t $ measure_t $ verbose_t $ oracle_t
       $ oracle_dump_dir_t $ timeline_t $ percentiles_t $ crash_rate_t
       $ restart_delay_t $ msg_loss_t $ msg_dup_t $ disk_stall_t
       $ srv_crash_rate_t $ srv_restart_delay_t $ log_flush_t

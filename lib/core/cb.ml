@@ -16,8 +16,6 @@ type result = Purged | Marked | Not_cached
    contested page); detection runs on the cluster union, so a cycle
    closed through another partition's graph is still found. *)
 let wait_for_txn_end sys sv cid ~writer ~blocking =
-  Trace.event sys "callback for txn %d blocked behind txn %d at client %d"
-    writer blocking cid;
   Metrics.note_callback_blocked sys.metrics;
   Model.tl_hook sys (fun x ->
       Tl.cb_blocked x ~client:cid ~writer ~now:(Engine.now sys.engine));

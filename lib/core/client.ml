@@ -338,8 +338,6 @@ let rec attempt sys cid ops ~first_started ~restarts =
       Oracle.History.begin_txn o ~tid:txn.tid ~client:cid);
   Model.tl_hook sys (fun x ->
       Tl.txn_begin x ~client:cid ~tid:txn.tid ~now:txn.started);
-  if restarts = 0 then Trace.txn sys ~tid:txn.tid ~client:cid "start"
-  else Trace.txn sys ~tid:txn.tid ~client:cid "restart #%d" restarts;
   (* Start times are replicated on every server's graph so any of them
      can pick a deadlock victim locally (see Waits_for.link). *)
   let start = Engine.now sys.engine in
@@ -353,9 +351,6 @@ let rec attempt sys cid ops ~first_started ~restarts =
   | () ->
     let now = Engine.now sys.engine in
     let response = now -. first_started in
-    Trace.txn sys ~tid:txn.tid ~client:cid
-      "commit (response %.0f ms, %d updates)" (1000.0 *. response)
-      (Ids.Oid_set.cardinal txn.updated);
     Metrics.note_commit sys.metrics ~response;
     Model.tl_hook sys (fun x -> Tl.txn_commit x ~client:cid ~tid:txn.tid ~now);
     Stats.Welford.add sys.clients.resp_history.(cid) response;
@@ -370,8 +365,6 @@ let rec attempt sys cid ops ~first_started ~restarts =
     (* A deadlock abort that raced with a crash of this client belongs
        to the crash handler: everything is already reclaimed. *)
     check_live sys txn;
-    Trace.txn sys ~tid:txn.tid ~client:cid "abort (%s)"
-      (if txn.doomed then "server crash" else "deadlock victim");
     abort_cleanup sys cid txn;
     Audit.check sys ~context:"abort" ~coverage_of:cid;
     Proc.hold sys.engine (restart_delay sys cid);

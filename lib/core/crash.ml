@@ -14,7 +14,6 @@ let crash_client sys cid =
     if cs.crashed_at.(cid) = None then
       cs.crashed_at.(cid) <- Some (Engine.now sys.engine);
     Faults.note_crash sys.faults;
-    Trace.event sys "client %d crashed" cid;
     (* Closes any open txn span, then opens the "down" recovery-epoch
        span, ended by the restart hook below. *)
     Model.tl_hook sys (fun x ->
@@ -73,7 +72,6 @@ let restart_client sys cid =
   if not cs.up.(cid) then begin
     cs.up.(cid) <- true;
     sys.sweep_pending <- true;
-    Trace.event sys "client %d restarted (cold cache)" cid;
     Model.tl_hook sys (fun x ->
         Tl.restart x ~client:cid ~now:(Engine.now sys.engine));
     Client.start_one sys cid
@@ -94,8 +92,6 @@ let crash_server sys sid =
     sv.srv_state <- Srv_down;
     sv.srv_crashed_at <- Engine.now sys.engine;
     Faults.note_srv_crash sys.faults;
-    Trace.event sys "server %d crashed (%d unflushed log records)" sid
-      sv.log_records;
     Model.tl_hook sys (fun x -> Tl.srv_crash x ~sid ~now:(Engine.now sys.engine));
     (* Doom every transaction that touched the server — pages read or
        written there (it may hold purged locks or rely on purged
@@ -114,7 +110,6 @@ let crash_server sys sid =
              && (txn.rpc_sid = sid || List.mem sid (Srv.participants sys txn))
         ->
         txn.doomed <- true;
-        Trace.event sys "txn %d doomed by crash of server %d" txn.tid sid;
         Waits_for.cancel_wait sys.servers.(0).wfg txn.tid
       | Some _ | None -> ()
     done;
@@ -198,8 +193,6 @@ let restart_server sys sid =
     (* Phase 1: redo.  One log-device read plus per-record replay CPU;
        the flush cadence bounds how much tail can have accumulated. *)
     let records = sv.log_records in
-    Trace.event sys "server %d recovering: replaying %d log records" sid
-      records;
     Model.tl_hook sys (fun x ->
         Tl.srv_replay x ~sid ~records ~now:(Engine.now sys.engine));
     Resources.Cpu.system sv.scpu sys.cfg.Config.disk_overhead_inst;
@@ -234,10 +227,6 @@ let restart_server sys sid =
     sys.sweep_pending <- true;
     let now = Engine.now sys.engine in
     Faults.note_srv_recovery sys.faults ~latency:(now -. sv.srv_crashed_at);
-    Trace.event sys
-      "server %d reopened (%d copy rows reconstructed from %d clients)" sid
-      !total
-      (Array.fold_left (fun n up -> if up then n + 1 else n) 0 cs.up);
     Model.tl_hook sys (fun x -> Tl.srv_reopen x ~sid ~now);
     Faults.run_hook sys.faults "server-restart"
   end

@@ -27,6 +27,7 @@ let throughput =
 
 let resp_ms = ms "resp_ms" (fun r -> r.resp_mean)
 let resp_ci_ms = ms "resp_ci_ms" (fun r -> r.resp_ci90)
+let resp_batches = count "resp_batches" (fun r -> r.resp_batches)
 let resp_p50_ms = ms "resp_p50_ms" (fun r -> r.resp_p50)
 let resp_p90_ms = ms "resp_p90_ms" (fun r -> r.resp_p90)
 let resp_p99_ms = ms "resp_p99_ms" (fun r -> r.resp_p99)
@@ -46,6 +47,8 @@ let server_cpu = ratio "server_cpu" (fun r -> r.server_cpu_util)
 let client_cpu = ratio "client_cpu" (fun r -> r.client_cpu_util)
 let disk_util = ratio "disk_util" (fun r -> r.disk_util)
 let net_util = ratio "net_util" (fun r -> r.net_util)
+let lock_waits = count "lock_waits" (fun r -> r.lock_waits)
+let avg_lock_wait_ms = ms "avg_lock_wait_ms" (fun r -> r.avg_lock_wait)
 let deescalations = count "deescalations" (fun r -> r.deescalations)
 let merges = count "merges" (fun r -> r.merges)
 let page_grants = count "page_grants" (fun r -> r.page_write_grants)
@@ -69,15 +72,18 @@ let srv_crashes = count "srv_crashes" (fun r -> r.srv_crashes)
 let srv_recoveries = count "srv_recoveries" (fun r -> r.srv_recoveries)
 let srv_recovery_ms = ms "srv_recovery_ms" (fun r -> r.srv_recovery_mean)
 let srv_giveaways = count "srv_giveaways" (fun r -> r.srv_giveaways)
+let oracle_commits = count "oracle_commits" (fun r -> r.oracle_commits)
+let oracle_ops = count "oracle_ops" (fun r -> r.oracle_ops)
 
 let all =
   [
-    throughput; resp_ms; resp_ci_ms; resp_p50_ms; resp_p90_ms; resp_p99_ms;
-    lock_wait_p99_ms; cb_round_p99_ms; commits; aborts; deadlocks;
-    msgs_per_commit; kbytes_per_commit; disk_ios; server_cpu; client_cpu;
-    disk_util; net_util; deescalations; merges; page_grants; object_grants;
-    callback_blocks; servers; cb_forwards; edge_exchanges; retries;
-    retry_wait_p99_ms; crashes; crash_aborts; msg_losses; msg_dups;
-    retransmits; disk_stalls; faults_injected; recoveries; recovery_ms;
-    srv_crashes; srv_recoveries; srv_recovery_ms; srv_giveaways;
+    throughput; resp_ms; resp_ci_ms; resp_batches; resp_p50_ms; resp_p90_ms;
+    resp_p99_ms; lock_wait_p99_ms; cb_round_p99_ms; commits; aborts;
+    deadlocks; msgs_per_commit; kbytes_per_commit; disk_ios; server_cpu;
+    client_cpu; disk_util; net_util; lock_waits; avg_lock_wait_ms;
+    deescalations; merges; page_grants; object_grants; callback_blocks;
+    servers; cb_forwards; edge_exchanges; retries; retry_wait_p99_ms;
+    crashes; crash_aborts; msg_losses; msg_dups; retransmits; disk_stalls;
+    faults_injected; recoveries; recovery_ms; srv_crashes; srv_recoveries;
+    srv_recovery_ms; srv_giveaways; oracle_commits; oracle_ops;
   ]

@@ -22,6 +22,7 @@ val to_csv : t -> Runner.result -> string
 val throughput : t
 val resp_ms : t
 val resp_ci_ms : t
+val resp_batches : t
 val resp_p50_ms : t
 val resp_p90_ms : t
 val resp_p99_ms : t
@@ -37,6 +38,8 @@ val server_cpu : t
 val client_cpu : t
 val disk_util : t
 val net_util : t
+val lock_waits : t
+val avg_lock_wait_ms : t
 val deescalations : t
 val merges : t
 val page_grants : t
@@ -62,6 +65,8 @@ val srv_crashes : t
 val srv_recoveries : t
 val srv_recovery_ms : t
 val srv_giveaways : t
+val oracle_commits : t
+val oracle_ops : t
 
 val all : t list
 (** Every entry above, in that order; names are unique. *)

@@ -140,6 +140,14 @@ let percentiles b (s : series) =
           (1000.0 *. H.max_value h))
     (merged_response_hists s)
 
+(* A line's fields: each one's text, then its value in its format. *)
+let fields b (fs : detail list) r =
+  List.iter
+    (fun (before, m, fmt) ->
+      Buffer.add_string b before;
+      Buffer.add_string b (Printf.sprintf fmt (m.Metric.get r)))
+    fs
+
 let detail b (s : series) =
   Printf.bprintf b "%s\n" s.spec.detail_heading;
   List.iter
@@ -147,14 +155,103 @@ let detail b (s : series) =
       List.iter
         (fun (a, r) ->
           Printf.bprintf b "%s %-6s" p.row.tag (Algo.to_string a);
-          List.iter
-            (fun (before, m, fmt) ->
-              Buffer.add_string b before;
-              Buffer.add_string b (Printf.sprintf fmt (m.Metric.get r)))
-            s.spec.detail;
+          fields b s.spec.detail r;
           Buffer.add_char b '\n')
         p.results)
     s.points
+
+(* --- One run ------------------------------------------------------------- *)
+
+(* oodbsim's result block, one field list per line.  A line with a gate
+   [(m, floor)] prints only when [m] exceeds [floor]: shards only for a
+   partitioned server, fault lines only when a fault fired, the oracle
+   line only when the oracle ran.  A run that exercises none of those
+   layers prints exactly what a build without them printed. *)
+let result_lines : ((Metric.t * float) option * detail list) list =
+  Metric.
+    [
+      ( None,
+        [
+          (": ", throughput, "%.2f tps"); (" (resp ", resp_ms, "%.0f ms");
+          (" +/- ", resp_ci_ms, "%.0f"); (", ", resp_batches, "%.0f batches)");
+        ] );
+      ( None,
+        [
+          ("commits ", commits, "%.0f"); (", aborts ", aborts, "%.0f");
+          (", deadlocks ", deadlocks, "%.0f");
+        ] );
+      ( None,
+        [
+          ("msgs/commit ", msgs_per_commit, "%.1f");
+          (", KB/commit ", kbytes_per_commit, "%.1f");
+          (", disk I/Os ", disk_ios, "%.0f");
+        ] );
+      ( None,
+        [
+          ("util: server CPU ", server_cpu, "%.2f");
+          (", client CPU ", client_cpu, "%.2f"); (", disk ", disk_util, "%.2f");
+          (", net ", net_util, "%.2f");
+        ] );
+      ( None,
+        [
+          ("lock waits ", lock_waits, "%.0f");
+          (" (avg ", avg_lock_wait_ms, "%.1f ms)");
+          (", callback blocks ", callback_blocks, "%.0f");
+          (", merges ", merges, "%.0f");
+        ] );
+      ( None,
+        [
+          ("de-escalations ", deescalations, "%.0f");
+          (", write grants page/object ", page_grants, "%.0f");
+          ("/", object_grants, "%.0f");
+        ] );
+      ( Some (servers, 1.0),
+        [
+          ("shards: ", servers, "%.0f servers");
+          (", callback forwards ", cb_forwards, "%.0f");
+          (", edge exchanges ", edge_exchanges, "%.0f");
+        ] );
+      ( Some (faults_injected, 0.0),
+        [
+          ("faults: ", faults_injected, "%.0f injected");
+          (" (crashes ", crashes, "%.0f"); (", losses ", msg_losses, "%.0f");
+          (", dups ", msg_dups, "%.0f"); (", stalls ", disk_stalls, "%.0f)");
+          (", crash aborts ", crash_aborts, "%.0f");
+          (", retransmits ", retransmits, "%.0f");
+          (", recoveries ", recoveries, "%.0f");
+          (" (mean ", recovery_ms, "%.0f ms)");
+        ] );
+      ( Some (srv_crashes, 0.0),
+        [
+          ("server faults: ", srv_crashes, "%.0f crashes");
+          (", ", srv_recoveries, "%.0f recoveries");
+          (" (mean ", srv_recovery_ms, "%.0f ms)");
+          (", ", srv_giveaways, "%.0f giveaways");
+          (", ", retries, "%.0f retries");
+          (" (wait p99 ", retry_wait_p99_ms, "%.0f ms)");
+        ] );
+      ( Some (oracle_ops, 0.0),
+        [
+          ("oracle: serializable (", oracle_commits, "%.0f committed");
+          (", ", oracle_ops, "%.0f ops checked)");
+        ] );
+    ]
+
+let pp_result ppf (r : Runner.result) =
+  let lines =
+    List.filter_map
+      (fun (gate, fs) ->
+        match gate with
+        | Some (m, floor) when m.Metric.get r <= floor -> None
+        | _ ->
+          let b = Buffer.create 128 in
+          fields b fs r;
+          Some (Buffer.contents b))
+      result_lines
+  in
+  Format.fprintf ppf "@[<v>%s / %s%a@]" (Algo.to_string r.algo) r.workload
+    (Format.pp_print_list Format.pp_print_string)
+    lines
 
 let render ~percentiles:pct ~detail:det s =
   let b = Buffer.create 4096 in

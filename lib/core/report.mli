@@ -19,6 +19,12 @@ val merged_response_hists :
 (** Per protocol, the response histograms of every row merged in row
     order (deterministic for any pool's execution order). *)
 
+val pp_result : Format.formatter -> Runner.result -> unit
+(** One run's result block, as oodbsim prints it: throughput and
+    response time, counts, utilisations, locking and grants, then a
+    shards, a faults, a server-faults and an oracle line, each only
+    when that layer was active in the run. *)
+
 val pp_percentiles : Format.formatter -> Runner.result -> unit
 (** Histogram-derived latency percentiles for one run: response
     p50/p90/p99, lock-wait p99, callback round-trip p99, and per

@@ -192,48 +192,3 @@ let run ?(seed = 42) ?max_events ?(warmup = 40.0) ?(measure = 200.0) ~cfg
     hists = Metrics.snapshot_hists m;
     timeline = Option.map Tl.timeline sys.timeline;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s / %s: %.2f tps (resp %.0f ms +/- %.0f, %d batches)@,\
-     commits %d, aborts %d, deadlocks %d@,\
-     msgs/commit %.1f, KB/commit %.1f, disk I/Os %d@,\
-     util: server CPU %.2f, client CPU %.2f, disk %.2f, net %.2f@,\
-     lock waits %d (avg %.1f ms), callback blocks %d, merges %d@,\
-     de-escalations %d, write grants page/object %d/%d@]"
-    (Algo.to_string r.algo) r.workload r.throughput (1000.0 *. r.resp_mean)
-    (1000.0 *. r.resp_ci90) r.resp_batches r.commits r.aborts r.deadlocks
-    r.msgs_per_commit r.kbytes_per_commit r.disk_ios r.server_cpu_util
-    r.client_cpu_util r.disk_util r.net_util r.lock_waits
-    (1000.0 *. r.avg_lock_wait) r.callback_blocks r.merges r.deescalations
-    r.page_write_grants r.object_write_grants;
-  (* The shard line appears only for a partitioned server, so
-     single-server output stays byte-identical to the unsharded build. *)
-  if r.n_servers > 1 then
-    Format.fprintf ppf
-      "@\nshards: %d servers, callback forwards %d, edge exchanges %d"
-      r.n_servers r.cb_forwards r.edge_exchanges;
-  (* Fault metrics appear only when faults fired, so fault-free output
-     stays byte-identical to a build without the fault layer. *)
-  if r.faults_injected > 0 then
-    Format.fprintf ppf
-      "@\n\
-       faults: %d injected (crashes %d, losses %d, dups %d, stalls %d), \
-       crash aborts %d, retransmits %d, recoveries %d (mean %.0f ms)"
-      r.faults_injected r.crashes r.msg_losses r.msg_dups r.disk_stalls
-      r.crash_aborts r.retransmits r.recoveries (1000.0 *. r.recovery_mean);
-  (* Server-fault metrics appear only when a server actually crashed,
-     keeping client-crash-only storm output byte-identical. *)
-  if r.srv_crashes > 0 then
-    Format.fprintf ppf
-      "@\n\
-       server faults: %d crashes, %d recoveries (mean %.0f ms), %d giveaways, \
-       %d retries (wait p99 %.0f ms)"
-      r.srv_crashes r.srv_recoveries
-      (1000.0 *. r.srv_recovery_mean)
-      r.srv_giveaways r.retries
-      (1000.0 *. r.retry_wait_p99);
-  (* Likewise the oracle line: absent unless the oracle ran. *)
-  if r.oracle_ops > 0 then
-    Format.fprintf ppf "@\noracle: serializable (%d committed, %d ops checked)"
-      r.oracle_commits r.oracle_ops

@@ -106,5 +106,3 @@ val run :
     rate is positive — starts the {!Crash} drivers.  When
     [cfg.oracle] is set, the recorded history is checked at end of run
     and {!Oracle_failed} raised on a violation. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -277,9 +277,7 @@ let deescalate_page sys p holder =
           Lock_table.release sv.plocks p ~txn:holder;
           Metrics.note_deescalation sys.metrics ~objects:n;
           Model.tl_hook sys (fun x ->
-              Tl.deescalate x ~sid:sv.sid ~page:p ~now:(Engine.now sys.engine));
-          Trace.event sys "txn %d deescalated page %d -> %d object locks"
-            holder p n
+              Tl.deescalate x ~sid:sv.sid ~page:p ~now:(Engine.now sys.engine))
         end
       end;
       Hashtbl.remove sv.deesc_inflight p;
@@ -732,8 +730,6 @@ let write_rpc sys txn oid =
              (this is also how the protocol re-escalates once earlier
              contention has dissipated). *)
           Metrics.note_page_write_grant sys.metrics;
-          Trace.event sys "txn %d escalated to page write lock on %d" txn.tid
-            p;
           Model.tl_hook sys (fun x ->
               Tl.escalate x ~sid:sv.sid ~page:p ~now:(Engine.now sys.engine));
           reply W_page

@@ -165,36 +165,6 @@ let test_figure5_data () =
            0.0 pts))
     curves
 
-(* --- Trace laziness ------------------------------------------------------ *)
-
-(* With the [oodb.kernel] source disabled (the default), trace call
-   sites must not format their arguments: an entire simulated run may
-   render zero messages.  Flipping the source level on (no reporter
-   needed — rendering happens before the reporter) makes the same run
-   format them, proving the call sites are live. *)
-let test_trace_lazy_when_off () =
-  let run () =
-    let spec = Option.get (Experiments.find "fig3") in
-    let cfg = Experiments.cfg_of spec in
-    let params = Experiments.params_of spec ~write_prob:0.1 in
-    ignore
-      (Runner.run ~seed:7 ~warmup:2.0 ~measure:8.0 ~cfg ~algo:Algo.PS_AA
-         ~params ())
-  in
-  Logs.Src.set_level Trace.src None;
-  Alcotest.(check bool) "tracing off" false (Trace.active ());
-  let before = Trace.rendered () in
-  run ();
-  Alcotest.(check int) "tracing off formats nothing" 0
-    (Trace.rendered () - before);
-  Logs.Src.set_level Trace.src (Some Logs.Debug);
-  let before = Trace.rendered () in
-  Fun.protect
-    ~finally:(fun () -> Logs.Src.set_level Trace.src None)
-    run;
-  Alcotest.(check bool) "tracing on formats events" true
-    (Trace.rendered () - before > 0)
-
 let suite =
   [
     Alcotest.test_case "default config valid" `Quick test_default_valid;
@@ -213,6 +183,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_page_write_prob_bounds;
     Alcotest.test_case "experiment specs" `Quick test_experiment_specs;
     Alcotest.test_case "figure 5 data" `Quick test_figure5_data;
-    Alcotest.test_case "trace off allocates no log strings" `Slow
-      test_trace_lazy_when_off;
   ]

@@ -149,6 +149,29 @@ let test_render_goldens () =
         (Report.to_csv series))
     [ "fig3"; "fig12"; "faultsweep"; "shardsweep"; "srvfaultsweep"; "clustersweep" ]
 
+(* golden/result.txt was printed by oodbsim's hand-listed result
+   printer that preceded the registry-driven one, from these canned
+   cells: the five protocols cover every combination of the shards,
+   faults and server-faults lines, and the last cell adds the oracle
+   line, with values no other field shares. *)
+let test_result_golden () =
+  let cells =
+    List.mapi (fun i a -> Canned.result i a) Algo.all
+    @ [
+        {
+          (Canned.result 7 Algo.PS_OA) with
+          Runner.recoveries = 5;
+          srv_recoveries = 3;
+          oracle_commits = 321;
+          oracle_ops = 4567;
+        };
+      ]
+  in
+  Alcotest.(check string) "oodbsim result blocks"
+    (read_file "golden/result.txt")
+    (String.concat ""
+       (List.map (fun r -> Format.asprintf "%a@." Report.pp_result r) cells))
+
 let test_every_grid_renders () =
   List.iter
     (fun (spec : Experiments.spec) ->
@@ -189,6 +212,7 @@ let suite =
     Alcotest.test_case "merged histograms across a series" `Quick
       test_merged_hists;
     Alcotest.test_case "render goldens: six grids" `Quick test_render_goldens;
+    Alcotest.test_case "result golden: oodbsim block" `Quick test_result_golden;
     Alcotest.test_case "every grid renders" `Quick test_every_grid_renders;
     Alcotest.test_case "seed digest over every grid" `Quick test_seed_digest;
   ]
