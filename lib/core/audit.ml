@@ -6,18 +6,26 @@ exception Violation of string
 
 let oid_str o = Format.asprintf "%a" Ids.Oid.pp o
 
+(* Reads the arrays, not the indexes, so that a violation of the index
+   mirror check still shows the true state.  Idle up clients are only
+   counted: at 50k clients they would swamp the message. *)
 let dump_state sys =
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "  clients:";
   let cs = sys.clients in
+  let idle = ref 0 in
   for cid = 0 to cs.n - 1 do
-    add " %d:%s%s" cid
-      (if cs.up.(cid) then "up" else "DOWN")
-      (match cs.running.(cid) with
-      | Some t -> Printf.sprintf "(txn %d)" t.tid
-      | None -> "")
+    match (cs.up.(cid), cs.running.(cid)) with
+    | true, None -> incr idle
+    | up, running ->
+      add " %d:%s%s" cid
+        (if up then "up" else "DOWN")
+        (match running with
+        | Some t -> Printf.sprintf "(txn %d)" t.tid
+        | None -> "")
   done;
+  add " (+%d idle up)" !idle;
   Array.iter
     (fun sv ->
       let tag =
@@ -259,11 +267,13 @@ let check_copy_coverage ~journal sys ~context =
 (* Invariant 4: a crashed client was fully reclaimed — cold caches, no
    transaction, no copy-table presence (it must not be a callback
    target: its cache is gone, so a callback would wait forever or,
-   worse, "succeed" against nothing). *)
+   worse, "succeed" against nothing).  Walks [down_clients], the
+   mirror of the [up] flags that [Model.set_up] keeps: O(down
+   clients), not O(clients). *)
 let check_crashed_clients sys ~context =
   let cs = sys.clients in
-  for cid = 0 to cs.n - 1 do
-    if not cs.up.(cid) then begin
+  Hashtbl.iter
+    (fun cid () ->
       (match cs.running.(cid) with
       | Some t ->
         violation sys ~context "crashed client %d still runs txn %d" cid t.tid
@@ -284,48 +294,48 @@ let check_crashed_clients sys ~context =
       if pc > 0 || oc > 0 then
         violation sys ~context
           "crashed client %d still registered for %d pages / %d objects" cid
-          pc oc
-    end
-  done
+          pc oc)
+    sys.down_clients
 
 (* Invariant 5: deadlock detection runs at every edge addition, so no
-   cycle survives between events. *)
+   cycle survives between events.  The per-server graphs are linked
+   into one cluster, so a single search from any member covers the
+   union: O(waits + edges). *)
 let check_acyclic sys ~context =
-  Array.iter
-    (fun sv ->
-      match Locking.Waits_for.any_cycle sv.wfg with
-      | None -> ()
-      | Some cycle ->
-        violation sys ~context "waits-for cycle left unbroken: [%s]"
-          (String.concat " -> " (List.map string_of_int cycle)))
-    sys.servers
+  match Locking.Waits_for.any_cycle sys.servers.(0).wfg with
+  | None -> ()
+  | Some cycle ->
+    violation sys ~context "waits-for cycle left unbroken: [%s]"
+      (String.concat " -> " (List.map string_of_int cycle))
 
 (* Invariant 6: write isolation — no object sits in the updated set of
    two live transactions.  Gated off under [srv_skip_reconstruction]
    for the same reason as invariant 3: the sabotage deliberately
    breaks callback-based mutual exclusion, and the verdict must come
-   from the serializability oracle, not a state-level check. *)
+   from the serializability oracle, not a state-level check.  Walks
+   [by_tid], the mirror of the [running] array: O(running transactions
+   + their updates), not O(clients). *)
 let check_update_disjoint sys ~context =
   if sys.cfg.Config.srv_skip_reconstruction then ()
   else
   let owner = Hashtbl.create 64 in
   let cs = sys.clients in
-  for cid = 0 to cs.n - 1 do
-    match cs.running.(cid) with
-    (* A doomed transaction's updates are already discarded in spirit:
-       it can only abort, and its covering locks at the crashed server
-       are gone, so a post-recovery writer may legitimately overlap. *)
-    | Some t when cs.up.(cid) && not t.doomed ->
-      Ids.Oid_set.iter
-        (fun o ->
-          match Hashtbl.find_opt owner o with
-          | Some other ->
-            violation sys ~context "object %s updated by both txn %d and txn %d"
-              (oid_str o) other t.tid
-          | None -> Hashtbl.replace owner o t.tid)
-        t.updated
-    | Some _ | None -> ()
-  done
+  Hashtbl.iter
+    (fun _ t ->
+      (* A doomed transaction's updates are already discarded in spirit:
+         it can only abort, and its covering locks at the crashed server
+         are gone, so a post-recovery writer may legitimately overlap. *)
+      if cs.up.(t.client) && not t.doomed then
+        Ids.Oid_set.iter
+          (fun o ->
+            match Hashtbl.find_opt owner o with
+            | Some other ->
+              violation sys ~context
+                "object %s updated by both txn %d and txn %d" (oid_str o)
+                other t.tid
+            | None -> Hashtbl.replace owner o t.tid)
+          t.updated)
+    sys.by_tid
 
 (* Invariant 7: a down server was fully reclaimed — crash purging left
    no volatile state behind (locks, copy registrations, token owners).
@@ -359,7 +369,41 @@ let check_crashed_servers sys ~context =
       end)
     sys.servers
 
+(* Index mirrors: invariants 4 and 6 walk [down_clients] and [by_tid]
+   instead of the arrays, so the full audit (end of run, tests) checks
+   once, in O(clients), that the indexes still mirror the arrays —
+   the backstop for a write that bypassed [Model.set_up],
+   [set_running] or [clear_running]. *)
+let check_indexes sys ~context =
+  let cs = sys.clients in
+  Hashtbl.iter
+    (fun cid () ->
+      if cs.up.(cid) then
+        violation sys ~context "client %d is up but in the down-client index"
+          cid)
+    sys.down_clients;
+  let down = ref 0 and running = ref 0 in
+  for cid = 0 to cs.n - 1 do
+    if not cs.up.(cid) then incr down;
+    match cs.running.(cid) with
+    | None -> ()
+    | Some t -> (
+      incr running;
+      match Hashtbl.find_opt sys.by_tid t.tid with
+      | Some t' when t' == t -> ()
+      | Some _ | None ->
+        violation sys ~context
+          "client %d runs txn %d, which the tid index does not hold" cid t.tid)
+  done;
+  if Hashtbl.length sys.down_clients <> !down then
+    violation sys ~context "down-client index holds %d clients, %d are down"
+      (Hashtbl.length sys.down_clients) !down;
+  if Hashtbl.length sys.by_tid <> !running then
+    violation sys ~context "tid index holds %d transactions, %d are running"
+      (Hashtbl.length sys.by_tid) !running
+
 let check_all ~journal sys ~context =
+  if not journal then check_indexes sys ~context;
   check_lock_liveness sys ~context;
   check_lock_compat sys ~context;
   check_copy_coverage ~journal sys ~context;

@@ -41,11 +41,34 @@
     The journal check is complete only if {!Cache_ops} is the only code
     that adds copies to client caches or makes slots available (a crash
     only removes them), and {!Locking.Copy_table} the only place
-    refcounts fall.  Both are part of the audit's trust base. *)
+    refcounts fall.  Both are part of the audit's trust base.
+
+    {b Population-independent invariants 4-6.}  No audit except the
+    unscoped {!check} scans the client population:
+    - invariant 4 (crashed clients reclaimed) walks
+      {!Model.sys.down_clients}, O(down clients);
+    - invariant 5 (acyclic waits-for graph) is one depth-first search
+      over the linked cluster, O(waits + edges);
+    - invariant 6 (write isolation) walks {!Model.sys.by_tid},
+      O(running transactions + their updates).
+
+    Invariant 5 reads the graph itself, so it is complete outright.
+    Invariants 4 and 6 are complete if the indexes mirror the arrays
+    they replace: [down_clients] holds exactly the clients whose [up]
+    flag is false, and [by_tid] exactly the [running] transactions.
+    {!Model.set_up} is the only writer of [up], and
+    {!Model.set_running} / {!Model.clear_running} the only writers of
+    [running]; each updates its index in the same step.  Those three
+    functions join the trust base.  The backstop is the unscoped
+    {!check} (end of run, tests): it verifies both mirrors in
+    O(clients), once per run, so a write that bypassed them fails
+    there. *)
 
 exception Violation of string
 (** Carries the failed invariant, the audit context, the simulated
-    clock, and a diagnostic dump of the lock/wait state. *)
+    clock, and a diagnostic dump of the lock/wait state.  The dump
+    lists only down clients and clients running a transaction, plus a
+    count of the idle up ones. *)
 
 val check : ?context:string -> ?coverage_of:int -> Model.sys -> unit
 (** Verify every invariant; raises {!Violation} on the first failure.
@@ -53,7 +76,9 @@ val check : ?context:string -> ?coverage_of:int -> Model.sys -> unit
     the journal (above), which is how transaction boundaries audit.
     The client argument no longer narrows the check: the journal check
     covers every client.  Without [coverage_of] it is the full sweep of
-    every cache, as at end of run.  Every other check is always global.
+    every cache, as at end of run, and it also checks that the
+    [down_clients] and [by_tid] indexes mirror the [up] and [running]
+    arrays.  Every other check is always global.
 
     Invariants:
     + every lock holder and queued waiter is an active transaction

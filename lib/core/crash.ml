@@ -9,7 +9,7 @@ let crash_client sys cid =
     (* Bump the epoch first: every fiber of the old incarnation is
        suspended right now (this runs in the driver fiber), and the
        liveness guards it hits on resume must already see the change. *)
-    cs.up.(cid) <- false;
+    Model.set_up sys cid false;
     cs.epoch.(cid) <- cs.epoch.(cid) + 1;
     if cs.crashed_at.(cid) = None then
       cs.crashed_at.(cid) <- Some (Engine.now sys.engine);
@@ -70,7 +70,7 @@ let crash_client sys cid =
 let restart_client sys cid =
   let cs = sys.clients in
   if not cs.up.(cid) then begin
-    cs.up.(cid) <- true;
+    Model.set_up sys cid true;
     sys.sweep_pending <- true;
     Model.tl_hook sys (fun x ->
         Tl.restart x ~client:cid ~now:(Engine.now sys.engine));

@@ -27,9 +27,11 @@ type txn = {
 }
 
 (* Per-client state in struct-of-arrays layout, indexed by client id.
-   At tens of thousands of clients the hot sweeps (liveness guards,
-   audit scans over [up]/[running]) touch one contiguous word per
-   client instead of chasing a pointer per record. *)
+   At tens of thousands of clients the per-client sweeps that remain
+   (crash-driver liveness guards, server-recovery reconstruction, the
+   end-of-run audit) touch one contiguous word per client instead of
+   chasing a pointer per record.  Boundary audits do not scan the
+   population: they walk [by_tid] and [down_clients]. *)
 type clients = {
   n : int;
   ccpu : Resources.Cpu.t array;
@@ -85,6 +87,9 @@ type sys = {
      used to scan every client. *)
   by_tid : (int, txn) Hashtbl.t;
   updaters : (Ids.Oid.t, txn list) Hashtbl.t;
+  (* The clients whose [up] flag is false, so the audit's crashed-client
+     check costs O(down clients). *)
+  down_clients : (int, unit) Hashtbl.t;
   (* Copy-coverage journal, drained by every audit: copies installed
      since the last audit (Cache_ops is the only code that adds to
      client caches), and a flag set by up-transitions (client restart,
@@ -150,6 +155,11 @@ let client_txn sys cid = sys.clients.running.(cid)
 (* --- Active-transaction indexes --------------------------------------- *)
 
 let txn_of_tid sys tid = Hashtbl.find_opt sys.by_tid tid
+
+let set_up sys cid up =
+  sys.clients.up.(cid) <- up;
+  if up then Hashtbl.remove sys.down_clients cid
+  else Hashtbl.replace sys.down_clients cid ()
 
 let set_running sys cid txn =
   sys.clients.running.(cid) <- Some txn;
@@ -348,6 +358,7 @@ let create ~cfg ~algo ~params ~seed =
       timeline;
       by_tid = Hashtbl.create 256;
       updaters = Hashtbl.create 256;
+      down_clients = Hashtbl.create 16;
       page_installs = Locking.Journal.create ();
       obj_installs = Locking.Journal.create ();
       sweep_pending = false;

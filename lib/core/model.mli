@@ -47,9 +47,11 @@ type txn = {
 }
 
 (** Per-client state in struct-of-arrays layout, indexed by client id.
-    The SoA shape keeps the population-wide sweeps (liveness guards,
-    audit scans over [up]/[running]) to one contiguous word per client,
-    which is what makes 10k+ client runs affordable. *)
+    The SoA shape keeps the population-wide sweeps that remain
+    (crash-driver liveness guards, server-recovery reconstruction, the
+    end-of-run audit) to one contiguous word per client, which is what
+    makes 10k+ client runs affordable.  Boundary audits never scan the
+    population: they walk the [by_tid] and [down_clients] indexes. *)
 type clients = {
   n : int;  (** the population; every array below has this length *)
   ccpu : Resources.Cpu.t array;
@@ -64,7 +66,9 @@ type clients = {
           drained when it terminates *)
   resp_history : Stats.Welford.t array;
       (** all-time response times, used to size restart delays *)
-  up : bool array;  (** false while crashed (awaiting cold restart) *)
+  up : bool array;
+      (** false while crashed (awaiting cold restart); written only by
+          {!set_up} *)
   epoch : int array;  (** incarnation counter, bumped at each crash *)
   crashed_at : float option array;
       (** time of the crash that started the current outage; cleared at
@@ -139,6 +143,9 @@ type sys = {
       (** running transactions with the object in their [updated] set
           (maintained by [note_updater] / [clear_running]); O(1)
           write-isolation assertion *)
+  down_clients : (int, unit) Hashtbl.t;
+      (** the clients whose [up] flag is false (maintained by
+          {!set_up}); O(down clients) crashed-client audit *)
   page_installs : Ids.page Locking.Journal.t;
       (** (page, client) for every page copy installed or refreshed
           since the last audit ({!Cache_ops.install_page}); a refresh
@@ -200,16 +207,22 @@ val bump_page_version : sys -> Ids.page -> by:int -> unit
 val client_txn : sys -> int -> txn option
 (** The transaction currently running at a client, if any. *)
 
-(** {2 Active-transaction indexes}
+(** {2 Population indexes}
 
-    Both indexes mirror the [running] array exactly: a transaction is
-    present while (and only while) it is some client's running
-    transaction.  All mutation goes through the three functions below
-    so the mirrors cannot drift. *)
+    [by_tid] and [updaters] mirror the [running] array exactly: a
+    transaction is present while (and only while) it is some client's
+    running transaction.  [down_clients] mirrors the [up] array.  All
+    mutation goes through the functions below so the mirrors cannot
+    drift; the unscoped {!Audit.check} verifies [by_tid] and
+    [down_clients] against the arrays. *)
 
 val txn_of_tid : sys -> int -> txn option
 (** The running transaction with this tid, if any — O(1), replaces the
     all-clients scan the de-escalation path used to do. *)
+
+val set_up : sys -> int -> bool -> unit
+(** Mark the client up or down, keeping [down_clients] in step.  The
+    only writer of [clients.up] (client crash and restart). *)
 
 val set_running : sys -> int -> txn -> unit
 (** Install the client's running transaction and index it by tid. *)

@@ -32,11 +32,17 @@ let set_exchange_hook t f = t.on_edge <- Some f
 
 (* Union lookup: the graph (if any) holding [txn]'s pending wait.  A
    transaction blocks on at most one request at a time, so at most one
-   member of the cluster has an entry. *)
+   member of the cluster has an entry.  A loop, not a closure: this
+   runs on every wait operation and every audit edge. *)
+let rec owner_from peers txn i =
+  if i = Array.length peers then None
+  else if Hashtbl.mem peers.(i).waits txn then Some peers.(i)
+  else owner_from peers txn (i + 1)
+
 let wait_owner t txn =
   if Array.length t.peers = 0 then
     if Hashtbl.mem t.waits txn then Some t else None
-  else Array.find_opt (fun g -> Hashtbl.mem g.waits txn) t.peers
+  else owner_from t.peers txn 0
 
 let find_wait t txn =
   match wait_owner t txn with
@@ -149,15 +155,64 @@ let deadlocks t = t.deadlock_count
 let waiting_count t = Hashtbl.length t.waits
 let is_active t txn = Hashtbl.mem t.starts txn
 
-(* Audit helper: search for a cycle from every transaction waiting in
-   {e this} graph.  [find_cycle] only explores paths returning to its
-   origin, so one search per waiter covers all cycles through this
-   partition; the audit loops over every server, covering the union. *)
+(* Audit helper: one depth-first search over the whole cluster, rooted
+   at every waiting transaction.  Colours are shared across the roots:
+   a transaction is "on stack" while the search is below it and "done"
+   once every path out of it is known to be acyclic, so each wait and
+   each edge is visited once: O(waits + edges).  An edge into an on-stack
+   transaction closes a cycle; the witness is the stack back to it,
+   oriented like [find_cycle]'s.  Transactions that do not wait have no
+   outgoing edges and are never coloured. *)
+type colour = On_stack | Done
+
+let no_waits g = Hashtbl.length g.waits = 0
+
 let any_cycle t =
-  Hashtbl.fold
-    (fun txn _ acc ->
-      match acc with Some _ -> acc | None -> find_cycle t ~from:txn)
-    t.waits None
+  let solo = Array.length t.peers = 0 in
+  let nothing_waits =
+    if solo then no_waits t else Array.for_all no_waits t.peers
+  in
+  if nothing_waits then None
+  else begin
+    let members = if solo then [| t |] else t.peers in
+    let colour = Hashtbl.create 64 in
+    let rec visit u w path =
+      Hashtbl.replace colour u On_stack;
+      match visit_blockers w.blockers (u :: path) with
+      | Some _ as found -> found
+      | None ->
+        Hashtbl.replace colour u Done;
+        None
+    and visit_blockers vs path =
+      match vs with
+      | [] -> None
+      | v :: rest -> (
+        match Hashtbl.find_opt colour v with
+        | Some On_stack ->
+          let rec upto = function
+            | [] -> []
+            | x :: xs -> if x = v then [ x ] else x :: upto xs
+          in
+          Some (upto path)
+        | Some Done -> visit_blockers rest path
+        | None -> (
+          match find_wait t v with
+          | None -> visit_blockers rest path
+          | Some w -> (
+            match visit v w path with
+            | Some c -> Some c
+            | None -> visit_blockers rest path)))
+    in
+    Array.fold_left
+      (fun acc g ->
+        Hashtbl.fold
+          (fun u w acc ->
+            match acc with
+            | Some _ -> acc
+            | None -> if Hashtbl.mem colour u then None else visit u w [])
+          g.waits acc)
+      None members
+  end
 
 let dump t =
   Hashtbl.fold (fun txn w acc -> (txn, w.blockers, w.info) :: acc) t.waits []

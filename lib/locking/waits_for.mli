@@ -64,9 +64,12 @@ val cancel_wait : t -> txn -> unit
     unblock a crashed client's transaction wherever it is queued. *)
 
 val any_cycle : t -> txn list option
-(** Any cycle currently in the graph (audit invariant: always [None]
-    outside of [check_deadlock] itself, since every edge addition runs
-    detection). *)
+(** Any cycle currently in the graph, or in the union of its linked
+    cluster (audit invariant: always [None] outside of [check_deadlock]
+    itself, since every edge addition runs detection).  One search with
+    shared colouring: O(waits + edges), and no allocation when nothing
+    waits.  The witness [c] is oriented so that in [List.rev c] each
+    transaction waits for the next, and the last for the first. *)
 
 val check_deadlock : t -> from:txn -> int
 (** Detect and break every cycle reachable from [from].  Returns the

@@ -1,6 +1,6 @@
 (* Fault-injection subsystem tests.
 
-   Five layers of assurance:
+   Six layers of assurance:
    - unit behaviour of the [Faults] profiles and streams (off draws
      nothing, storms are deterministic in the seed);
    - the golden byte-identity property: with every fault knob off, a
@@ -13,7 +13,9 @@
      server-side state for the site, and the auditor actually detects
      deliberately corrupted states (the checks are not vacuous);
    - the audit's coverage journal: it agrees with the full sweep under
-     storms, and each of its sources catches its own corruption. *)
+     storms, and each of its sources catches its own corruption;
+   - the scoped invariants 4-6 catch their corruptions without scanning
+     the population, and the full audit catches index drift. *)
 
 open Oodb_core
 open Storage
@@ -231,13 +233,22 @@ let test_crash_reclaims_state () =
   Alcotest.(check bool) "recovery latency recorded" true
     (Faults.recoveries sys.Model.faults >= 1)
 
+let contains msg sub =
+  let n = String.length msg and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub msg i k = sub || go (i + 1)) in
+  go 0
+
 (* The auditor must reject corrupted states, otherwise the storm tests
-   are vacuous. *)
-let expect_violation ?coverage_of sys what corrupt restore =
+   are vacuous.  [mentions] pins the invariant that must fire. *)
+let expect_violation ?coverage_of ?mentions sys what corrupt restore =
   corrupt ();
   (match Audit.check sys ~context:"negative-test" ?coverage_of with
   | () -> Alcotest.fail ("audit accepted " ^ what)
-  | exception Audit.Violation _ -> ());
+  | exception Audit.Violation msg -> (
+    match mentions with
+    | Some sub when not (contains msg sub) ->
+      Alcotest.failf "audit rejected %s, but not for %S:\n%s" what sub msg
+    | Some _ | None -> ()));
   restore ()
 
 let test_audit_detects_corruption () =
@@ -374,35 +385,42 @@ let test_journal_catches_purge () =
           : int))
     (fun () -> ())
 
-(* Source 3: a PS-OO page refresh makes a slot available again, and the
-   shipment that carried it registered every slot but that one.  No
-   registration dropped to zero, so only the install journal sees it. *)
-let test_journal_catches_install () =
+(* A two-client system whose clients have not started: tests install
+   exactly the state they need. *)
+let idle_sys ~algo =
   let cfg = { Config.default with Config.num_clients = 2 } in
   let params =
     Workload.Presets.make Workload.Presets.Uniform ~db_pages:cfg.Config.db_pages
       ~objects_per_page:cfg.Config.objects_per_page ~num_clients:2
       ~locality:Workload.Presets.Low ~write_prob:0.0
   in
-  let sys = Model.create ~cfg ~algo:Algo.PS_OO ~params ~seed:3 in
-  let txn =
-    {
-      Model.tid = Model.fresh_tid sys;
-      client = 0;
-      epoch = 0;
-      ops = [||];
-      started = 0.0;
-      first_started = 0.0;
-      restarts = 0;
-      read_pages = Ids.Page_set.empty;
-      read_objs = Ids.Oid_set.empty;
-      wpages = Ids.Page_set.empty;
-      wobjs = Ids.Oid_set.empty;
-      updated = Ids.Oid_set.empty;
-      doomed = false;
-      rpc_sid = -1;
-    }
-  in
+  Model.create ~cfg ~algo ~params ~seed:3
+
+let mk_txn sys ~client =
+  {
+    Model.tid = Model.fresh_tid sys;
+    client;
+    epoch = sys.Model.clients.Model.epoch.(client);
+    ops = [||];
+    started = 0.0;
+    first_started = 0.0;
+    restarts = 0;
+    read_pages = Ids.Page_set.empty;
+    read_objs = Ids.Oid_set.empty;
+    wpages = Ids.Page_set.empty;
+    wobjs = Ids.Oid_set.empty;
+    updated = Ids.Oid_set.empty;
+    doomed = false;
+    rpc_sid = -1;
+  }
+
+(* Source 3: a PS-OO page refresh makes a slot available again, and the
+   shipment that carried it registered every slot but that one.  No
+   registration dropped to zero, so only the install journal sees it. *)
+let test_journal_catches_install () =
+  let sys = idle_sys ~algo:Algo.PS_OO in
+  let cfg = sys.Model.cfg in
+  let txn = mk_txn sys ~client:0 in
   let p = 5 and gap = 3 in
   let ship ~except =
     for slot = 0 to cfg.Config.objects_per_page - 1 do
@@ -422,6 +440,75 @@ let test_journal_catches_install () =
       ignore
         (Cache_ops.install_page sys 0 txn p ~unavailable:Ids.Int_set.empty
            ~version:1))
+    (fun () -> ())
+
+(* --- Scoped audits: invariants 4-6 walk indexes ---------------------------- *)
+
+(* Boundary audits find down clients through [down_clients] and running
+   transactions through [by_tid].  Each state below is reached through
+   the same calls the simulator makes, and a scoped audit must reject
+   it. *)
+
+(* Invariant 4: a page shipped to a site after it crashed. *)
+let test_scoped_catches_crashed_client () =
+  let sys = mk_running_sys ~algo:Algo.PS_AA ~seed:6 in
+  Simcore.Engine.run_until sys.Model.engine 10.0;
+  sys.Model.live <- false;
+  Crash.crash_client sys 0;
+  Audit.check sys ~context:"clean" ~coverage_of:1;
+  expect_violation sys ~coverage_of:1 ~mentions:"crashed client 0 retains"
+    "a crashed client with a cached page"
+    (fun () ->
+      ignore
+        (Cache_ops.install_page sys 0 (mk_txn sys ~client:0) 5
+           ~unavailable:Ids.Int_set.empty ~version:0))
+    (fun () -> ())
+
+(* Invariant 5: a 2-cycle whose edges were added without running
+   deadlock detection. *)
+let test_scoped_catches_cycle () =
+  let sys = idle_sys ~algo:Algo.PS in
+  let a = mk_txn sys ~client:0 and b = mk_txn sys ~client:1 in
+  Model.set_running sys 0 a;
+  Model.set_running sys 1 b;
+  let wfg = sys.Model.servers.(0).Model.wfg in
+  Audit.check sys ~context:"clean" ~coverage_of:0;
+  expect_violation sys ~coverage_of:0 ~mentions:"waits-for cycle"
+    "an unbroken waits-for cycle"
+    (fun () ->
+      Locking.Waits_for.set_wait wfg a.Model.tid ~blockers:[ b.Model.tid ]
+        ~cancel:(fun () -> ());
+      Locking.Waits_for.set_wait wfg b.Model.tid ~blockers:[ a.Model.tid ]
+        ~cancel:(fun () -> ()))
+    (fun () -> ())
+
+(* Invariant 6: two running transactions updating the same object. *)
+let test_scoped_catches_shared_update () =
+  let sys = idle_sys ~algo:Algo.PS in
+  let a = mk_txn sys ~client:0 and b = mk_txn sys ~client:1 in
+  Model.set_running sys 0 a;
+  Model.set_running sys 1 b;
+  let update (t : Model.txn) o =
+    t.Model.updated <- Ids.Oid_set.add o t.Model.updated;
+    Model.note_updater sys t o
+  in
+  update a (Ids.Oid.make ~page:3 ~slot:1);
+  update b (Ids.Oid.make ~page:3 ~slot:2);
+  Audit.check sys ~context:"clean" ~coverage_of:0;
+  expect_violation sys ~coverage_of:0 ~mentions:"updated by both"
+    "an object in two running update sets"
+    (fun () -> update b (Ids.Oid.make ~page:3 ~slot:1))
+    (fun () -> ())
+
+(* Index drift: a running transaction missing from [by_tid] is invisible
+   to the scoped invariant 6, so the full audit must catch the drift. *)
+let test_full_audit_catches_index_drift () =
+  let sys = idle_sys ~algo:Algo.PS in
+  let a = mk_txn sys ~client:0 in
+  Model.set_running sys 0 a;
+  Audit.check sys ~context:"clean";
+  expect_violation sys ~mentions:"tid index" "a running txn missing from by_tid"
+    (fun () -> Hashtbl.remove sys.Model.by_tid a.Model.tid)
     (fun () -> ())
 
 let suite =
@@ -457,6 +544,14 @@ let suite =
         test_journal_catches_purge;
       Alcotest.test_case "journal catches install" `Quick
         test_journal_catches_install;
+      Alcotest.test_case "scoped audit catches crashed-client state" `Quick
+        test_scoped_catches_crashed_client;
+      Alcotest.test_case "scoped audit catches waits-for cycle" `Quick
+        test_scoped_catches_cycle;
+      Alcotest.test_case "scoped audit catches shared update" `Quick
+        test_scoped_catches_shared_update;
+      Alcotest.test_case "full audit catches index drift" `Quick
+        test_full_audit_catches_index_drift;
     ]
   @ List.map
       (fun algo ->

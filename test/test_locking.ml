@@ -391,25 +391,43 @@ let test_release_not_held_noop () =
 
 (* Install an arbitrary waits-for graph and compare the incremental
    detector's verdict against transitive-closure reachability; when a
-   witness comes back, replay it edge by edge against the graph. *)
+   witness comes back, replay it edge by edge against the graph.  The
+   same waits go into a solo graph and into a linked two-graph cluster,
+   each wait registered on a random member: the union of the cluster is
+   the solo graph, so asking either member must give the same verdict. *)
 let prop_any_cycle_vs_reachability =
   let txns = [ 1; 2; 3; 4; 5; 6 ] in
   QCheck.Test.make ~name:"any_cycle agrees with brute-force reachability"
     ~count:500
-    QCheck.(list_of_size (Gen.int_range 0 14) (pair (int_range 1 6) (int_range 1 6)))
-    (fun pairs ->
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 14)
+           (pair (int_range 1 6) (int_range 1 6)))
+        (list_of_size (Gen.return 6) bool))
+    (fun (pairs, on_g1) ->
       let edges = List.filter (fun (a, b) -> a <> b) pairs in
       let blockers_of w =
         List.sort_uniq compare
           (List.filter_map (fun (a, b) -> if a = w then Some b else None) edges)
       in
       let wfg = Waits_for.create () in
-      List.iter (fun t -> Waits_for.begin_txn wfg t ~start:(float_of_int t)) txns;
+      let g0 = Waits_for.create () and g1 = Waits_for.create () in
+      Waits_for.link [| g0; g1 |];
+      List.iter
+        (fun t ->
+          List.iter
+            (fun g -> Waits_for.begin_txn g t ~start:(float_of_int t))
+            [ wfg; g0; g1 ])
+        txns;
       List.iter
         (fun w ->
           match blockers_of w with
           | [] -> ()
-          | blockers -> Waits_for.set_wait wfg w ~blockers ~cancel:(fun () -> ()))
+          | blockers ->
+            let member = if List.nth on_g1 (w - 1) then g1 else g0 in
+            List.iter
+              (fun g -> Waits_for.set_wait g w ~blockers ~cancel:(fun () -> ()))
+              [ wfg; member ])
         txns;
       (* Brute force: a cycle exists iff some transaction reaches itself. *)
       let reaches src dst =
@@ -426,19 +444,22 @@ let prop_any_cycle_vs_reachability =
         go src
       in
       let expected = List.exists (fun t -> reaches t t) txns in
-      match Waits_for.any_cycle wfg with
-      | None -> not expected
-      | Some cyc ->
-        (* witness sanity: consecutive elements of the reversed path are
-           waits-for edges, and the last closes back on the first *)
-        let path = List.rev cyc in
-        let rec edges_ok = function
-          | a :: (b :: _ as rest) ->
-            List.mem b (blockers_of a) && edges_ok rest
-          | [ last ] -> List.mem (List.hd path) (blockers_of last)
-          | [] -> false
-        in
-        expected && path <> [] && edges_ok path)
+      let agrees g =
+        match Waits_for.any_cycle g with
+        | None -> not expected
+        | Some cyc ->
+          (* witness sanity: consecutive elements of the reversed path are
+             waits-for edges, and the last closes back on the first *)
+          let path = List.rev cyc in
+          let rec edges_ok = function
+            | a :: (b :: _ as rest) ->
+              List.mem b (blockers_of a) && edges_ok rest
+            | [ last ] -> List.mem (List.hd path) (blockers_of last)
+            | [] -> false
+          in
+          expected && path <> [] && edges_ok path
+      in
+      agrees wfg && agrees g0 && agrees g1)
 
 let suite =
   [
