@@ -381,21 +381,28 @@ let run_one sys ~client ops k =
        with Client_crashed -> ());
       k ())
 
-let client_loop sys cid ~epoch =
+(* A thinking client holds no fiber: the think is an engine timer whose
+   event spawns the client's next fiber, and the fiber that finished the
+   transaction returns.  This is event-for-event [Proc.hold]: hold pushes
+   a timer event and, when it fires, a same-instant hop that continues
+   the fiber; here the timer fires [Proc.spawn], whose start event is
+   that hop.  A crash during the think bumps the epoch, so the spawned
+   fiber fails the guard at the top of [client_loop] and exits where a
+   held fiber would have on resuming. *)
+let rec wake_after sys cid ~epoch dt =
+  Engine.schedule_after sys.engine dt (fun () ->
+      Proc.spawn sys.engine (fun () -> client_loop sys cid ~epoch))
+
+and client_loop sys cid ~epoch =
   (* Iterative so the fiber stack stays flat across thousands of
-     transactions.  The loop belongs to one client incarnation: a crash
-     bumps the epoch, so this fiber winds down (wherever it was) and the
-     restart spawns a fresh loop. *)
+     transactions when think_time is zero.  The loop belongs to one
+     client incarnation: a crash bumps the epoch, so this fiber winds
+     down (wherever it was) and the restart spawns a fresh loop. *)
   let cs = sys.clients in
-  (* Large-population runs bound concurrency with think_time; phase the
-     population across one think interval so simulated time zero is not
-     a thundering herd of [n] simultaneous transactions.  No RNG draw,
-     and no hold at all when think_time is zero, so the paper-scale
-     schedules are untouched. *)
-  let think = sys.params.Workload.Wparams.think_time in
-  if think > 0.0 then
-    Proc.hold sys.engine (think *. float_of_int cid /. float_of_int cs.n);
-  while sys.live && cs.up.(cid) && cs.epoch.(cid) = epoch do
+  let thinking = ref false in
+  while
+    (not !thinking) && sys.live && cs.up.(cid) && cs.epoch.(cid) = epoch
+  do
     try
       let ops =
         Workload.Refstring.generate ~rng:cs.crng.(cid) ~params:sys.params
@@ -404,20 +411,37 @@ let client_loop sys cid ~epoch =
       attempt sys cid ops ~first_started:(Engine.now sys.engine) ~restarts:0;
       let think = sys.params.Workload.Wparams.think_time in
       (* Traffic-shape modulation only applies when an arrival profile is
-         set, so the default path holds for exactly [think]. *)
+         set, so the default path thinks for exactly [think]. *)
       let think =
         match sys.params.Workload.Wparams.arrival with
         | None -> think
         | Some a ->
           Workload.Arrival.think a ~base:think ~now:(Engine.now sys.engine)
       in
-      if think > 0.0 then Proc.hold sys.engine think else Proc.yield sys.engine
+      if think > 0.0 then begin
+        thinking := true;
+        wake_after sys cid ~epoch think
+      end
+      else Proc.yield sys.engine
     with Client_crashed -> ()
   done
 
 let start_one sys cid =
-  let epoch = sys.clients.epoch.(cid) in
-  Proc.spawn sys.engine (fun () -> client_loop sys cid ~epoch)
+  let cs = sys.clients in
+  let epoch = cs.epoch.(cid) in
+  (* Large-population runs bound concurrency with think_time; phase the
+     population across one think interval so simulated time zero is not
+     a thundering herd of [n] simultaneous transactions.  No RNG draw,
+     and no timer at all when the phase is zero, so the paper-scale
+     schedules are untouched.  The same-instant hop before the timer is
+     the start event a fiber holding for the phase would have had. *)
+  let think = sys.params.Workload.Wparams.think_time in
+  let phase =
+    if think > 0.0 then think *. float_of_int cid /. float_of_int cs.n else 0.0
+  in
+  if phase > 0.0 then
+    Engine.schedule_now sys.engine (fun () -> wake_after sys cid ~epoch phase)
+  else Proc.spawn sys.engine (fun () -> client_loop sys cid ~epoch)
 
 let start sys =
   for cid = 0 to sys.clients.n - 1 do

@@ -268,11 +268,7 @@ let create ~cfg ~algo ~params ~seed =
         {
           sid;
           scpu =
-            Resources.Cpu.create engine
-              ~name:
-                (if n_servers = 1 then "server"
-                 else Printf.sprintf "server%d" sid)
-              ~mips:cfg.Config.server_mips;
+            Resources.Cpu.create engine ~mips:cfg.Config.server_mips;
           sdisks =
             Resources.Disk_array.create engine ~rng:(Rng.split rng) ~faults
               ~disks:cfg.Config.server_disks ~min_time:cfg.Config.min_disk_time
@@ -307,10 +303,8 @@ let create ~cfg ~algo ~params ~seed =
      its ascending per-client splits in the historical order. *)
   let clients =
     let ccpu =
-      Array.init n (fun cid ->
-          Resources.Cpu.create engine
-            ~name:(Printf.sprintf "client%d" cid)
-            ~mips:cfg.Config.client_mips)
+      Array.init n (fun _ ->
+          Resources.Cpu.create engine ~mips:cfg.Config.client_mips)
     in
     let crng = Array.init n (fun _ -> Rng.split rng) in
     {

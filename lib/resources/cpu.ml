@@ -14,7 +14,6 @@ type tl_state = {
 
 type t = {
   engine : Engine.t;
-  cpu_name : string;
   rate : float; (* instructions per second *)
   sys_queue : (float * unit Proc.resumer) Queue.t;
   mutable sys_active : bool;
@@ -31,11 +30,10 @@ type t = {
   mutable tl : tl_state option;
 }
 
-let create engine ~name ~mips =
+let create engine ~mips =
   if mips <= 0.0 then invalid_arg "Cpu.create: mips must be positive";
   {
     engine;
-    cpu_name = name;
     rate = mips *. 1e6;
     sys_queue = Queue.create ();
     sys_active = false;
@@ -47,8 +45,6 @@ let create engine ~name ~mips =
     busy = Stats.Time_weighted.create ~now:(Engine.now engine);
     tl = None;
   }
-
-let name t = t.cpu_name
 
 let is_busy t = t.sys_active || t.n_users > 0
 

@@ -12,10 +12,8 @@
 
 type t
 
-val create : Simcore.Engine.t -> name:string -> mips:float -> t
+val create : Simcore.Engine.t -> mips:float -> t
 (** A CPU executing [mips] million instructions per second. *)
-
-val name : t -> string
 
 val system : t -> float -> unit
 (** [system t instr] runs [instr] instructions at system priority.

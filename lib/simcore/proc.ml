@@ -26,9 +26,9 @@ type 'a waiter = {
    blocked in [mbox_recv] is represented by its bare continuation in
    the mailbox's wait queue — no waiter record, no result cell, no
    once-only guard (popping the queue transfers the continuation
-   exactly once by construction).  This is the hottest suspension point
-   in the simulator (every server loop blocks here), so it gets its own
-   effect rather than going through [Suspend_waiter]. *)
+   exactly once by construction), so it gets its own effect rather than
+   going through [Suspend_waiter].  The model does not block on
+   mailboxes; the benchmark's event-floor probe and the Proc tests do. *)
 type 'a mbox = {
   mb_engine : Engine.t;
   msgs : 'a Queue.t;

@@ -67,10 +67,10 @@ val yield : Engine.t -> unit
 (** {2 Mailbox core}
 
     The implementation behind {!Mailbox}, fused with the effect handler
-    so a blocked receiver is parked as a bare continuation: the hottest
-    suspension path in the simulator builds no waiter and no closure on
-    the receive side.  Use the {!Mailbox} wrapper; these are exposed
-    only for it. *)
+    so a blocked receiver is parked as a bare continuation: the receive
+    side builds no waiter and no closure.  The model does not use
+    mailboxes; the benchmark's event-floor probe and the tests do.  Use
+    the {!Mailbox} wrapper; these are exposed only for it. *)
 
 type 'a mbox
 

@@ -16,12 +16,12 @@ type ('k, 'v) t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  (* Start the table small and let it grow: pre-sizing to [2 * capacity]
-     charges every client ~16 bytes per slot of a cache it may never
-     fill (the object cache holds thousands of slots), which at 10k+
-     clients is gigabytes of idle buckets. *)
-  let initial = min 64 (2 * capacity) in
-  { cap = capacity; table = Hashtbl.create initial; head = None; tail = None }
+  (* Start the table at the stdlib minimum (16 buckets) and let it grow
+     by resizing: most clients of a large population never cache
+     anything, and every bucket is paid per client.  Nothing observable
+     depends on the table's size — iteration walks the recency list,
+     never Hashtbl order. *)
+  { cap = capacity; table = Hashtbl.create 1; head = None; tail = None }
 
 let capacity t = t.cap
 let size t = Hashtbl.length t.table

@@ -40,6 +40,10 @@ let check_region ~db_pages r what =
 let validate t ~db_pages ~objects_per_page =
   Option.iter Arrival.validate t.arrival;
   if t.trans_size <= 0 then invalid_arg "Wparams: trans_size must be positive";
+  if not (Float.is_finite t.think_time && t.think_time >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Wparams: think_time must be finite and non-negative, got %g"
+         t.think_time);
   if t.page_locality.lo < 1 || t.page_locality.hi < t.page_locality.lo then
     invalid_arg "Wparams: bad page_locality range";
   if t.page_locality.hi > objects_per_page then

@@ -51,5 +51,6 @@ type t = {
 }
 
 val validate : t -> db_pages:int -> objects_per_page:int -> unit
-(** Sanity-check region bounds and feasibility of [trans_size]; raises
-    [Invalid_argument] on inconsistency. *)
+(** Sanity-check region bounds, feasibility of [trans_size] and that
+    [think_time] is finite and non-negative; raises [Invalid_argument]
+    on inconsistency. *)

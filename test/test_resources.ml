@@ -8,7 +8,7 @@ let feps = 1e-9
 (* 1 MIPS CPU: n instructions take n microseconds. *)
 let mk_cpu () =
   let e = Engine.create () in
-  (e, Cpu.create e ~name:"test" ~mips:1.0)
+  (e, Cpu.create e ~mips:1.0)
 
 let test_cpu_system_service_time () =
   let e, cpu = mk_cpu () in

@@ -166,6 +166,118 @@ let test_scaled_config_runs () =
   in
   Alcotest.(check bool) "scaled run commits" true (r.Runner.commits > 5)
 
+(* Event-for-event pins of the think-time path: a scaled-server UNIFORM
+   cell of 2000 clients with think time [0.05 * n], so most of the
+   population is thinking (or still waiting out its start phase) at any
+   instant.  The cell is run step by step like [Runner.run] so the
+   engine's event count can be read.  The values are those of clients
+   that held a suspended fiber through every think: how a client waits
+   is host-side bookkeeping and must not move a single event. *)
+type think_pin = {
+  t_commits : int;
+  t_aborts : int;
+  t_messages : int;
+  t_resp_p99 : string;  (** [%h] of the p99 response time *)
+  t_events : int;
+  t_recoveries : int;
+}
+
+let think_cell ?arrival ~clients ~algo ~crash_rate ~warmup ~measure () =
+  let cfg =
+    {
+      Config.default with
+      Config.num_clients = clients;
+      server_mips = 1500.0;
+      server_disks = 128;
+      network_mbits = 2000.0;
+      faults = { Faults.off with Faults.crash_rate };
+    }
+  in
+  let params =
+    Workload.Presets.(
+      make Uniform ~think_time:(0.05 *. float_of_int clients)
+        ~db_pages:cfg.Config.db_pages
+        ~objects_per_page:cfg.Config.objects_per_page ~num_clients:clients
+        ~locality:Low ~write_prob:0.1)
+  in
+  let params = { params with Workload.Wparams.arrival } in
+  let sys = Model.create ~cfg ~algo ~params ~seed:42 in
+  Netlayer.install_edge_exchange sys;
+  Audit.install sys;
+  Client.start sys;
+  Crash.install sys;
+  let engine = sys.Model.engine and m = sys.Model.metrics in
+  Simcore.Engine.run_until engine warmup;
+  Metrics.reset m ~now:warmup;
+  Faults.reset_counters sys.Model.faults;
+  Simcore.Engine.run_until engine (warmup +. measure);
+  sys.Model.live <- false;
+  Audit.check sys ~context:"end-of-run";
+  {
+    t_commits = Metrics.commits m;
+    t_aborts = Metrics.aborts m;
+    t_messages = Metrics.messages m;
+    t_resp_p99 = Printf.sprintf "%h" (Metrics.response_quantile m 0.99);
+    t_events = Simcore.Engine.events_processed engine;
+    t_recoveries = Faults.recoveries sys.Model.faults;
+  }
+
+let test_think_pins () =
+  let diurnal =
+    {
+      Workload.Arrival.off with
+      Workload.Arrival.diurnal_period = 10.0;
+      diurnal_amp = 0.5;
+    }
+  in
+  List.iter
+    (fun (clients, arrival, algo, crash_rate, measure, want) ->
+      let got =
+        think_cell ?arrival ~clients ~algo ~crash_rate ~warmup:2.0 ~measure ()
+      in
+      let what =
+        Printf.sprintf "%d clients %s crash_rate %g" clients
+          (Algo.to_string algo) crash_rate
+      in
+      let check name f = Alcotest.(check int) (what ^ " " ^ name) (f want) (f got) in
+      check "commits" (fun p -> p.t_commits);
+      check "aborts" (fun p -> p.t_aborts);
+      check "messages" (fun p -> p.t_messages);
+      check "events" (fun p -> p.t_events);
+      check "recoveries" (fun p -> p.t_recoveries);
+      Alcotest.(check string) (what ^ " resp p99") want.t_resp_p99 got.t_resp_p99;
+      if crash_rate > 0.0 then
+        Alcotest.(check bool) (what ^ " recovered a crashed client") true
+          (got.t_recoveries > 0))
+    [
+      ( 2000, None, Algo.PS_AA, 0.0, 5.0,
+        { t_commits = 95; t_aborts = 4; t_messages = 12320;
+          t_resp_p99 = "0x1.30af0e78351d7p+1"; t_events = 205120;
+          t_recoveries = 0 } );
+      ( 2000, None, Algo.PS_OO, 0.0, 5.0,
+        { t_commits = 95; t_aborts = 3; t_messages = 13809;
+          t_resp_p99 = "0x1.13579348cf211p+1"; t_events = 218997;
+          t_recoveries = 0 } );
+      ( 2000, None, Algo.PS_AA, 0.005, 5.0,
+        { t_commits = 92; t_aborts = 4; t_messages = 12032;
+          t_resp_p99 = "0x1.0c8fca671cd17p+1"; t_events = 204264;
+          t_recoveries = 3 } );
+      ( 2000, None, Algo.PS_OO, 0.005, 5.0,
+        { t_commits = 97; t_aborts = 3; t_messages = 13709;
+          t_resp_p99 = "0x1.1806015c78e89p+1"; t_events = 220704;
+          t_recoveries = 4 } );
+      (* Think [0.05 * 250] = 12.5 s fits the window, so post-commit
+         think timers fire too, under a diurnal arrival profile. *)
+      ( 250, Some diurnal, Algo.PS_AA, 0.01, 12.0,
+        { t_commits = 213; t_aborts = 17; t_messages = 34815;
+          t_resp_p99 = "0x1.8a8c0eebf5d8p+1"; t_events = 474573;
+          t_recoveries = 13 } );
+      ( 250, Some diurnal, Algo.PS_OO, 0.01, 12.0,
+        { t_commits = 221; t_aborts = 17; t_messages = 44886;
+          t_resp_p99 = "0x1.6d65bfffd60fcp+1"; t_events = 564544;
+          t_recoveries = 13 } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "all protocols live" `Slow test_all_protocols_live;
@@ -181,4 +293,5 @@ let suite =
     Alcotest.test_case "HICON contention" `Slow test_hicon_contention;
     Alcotest.test_case "utilizations bounded" `Slow test_utilizations_bounded;
     Alcotest.test_case "scaled configuration runs" `Slow test_scaled_config_runs;
+    Alcotest.test_case "think-time cells pinned" `Slow test_think_pins;
   ]

@@ -132,6 +132,86 @@ let prop_lru_eviction_is_lru =
           List.for_all (Lru.mem c) expect && Lru.size c = List.length expect)
         keys)
 
+(* Mixed operations against a list reference model, at capacities and
+   key ranges large enough that the table grows through several resizes
+   from its initial size. *)
+type lru_op =
+  | Add of int * int
+  | Find of int
+  | Touch of int
+  | Remove of int
+  | Peek of int
+
+let lru_op_gen =
+  QCheck.Gen.(
+    let key = int_range 0 2000 in
+    frequency
+      [
+        (4, map2 (fun k v -> Add (k, v)) key nat);
+        (2, map (fun k -> Find k) key);
+        (1, map (fun k -> Touch k) key);
+        (1, map (fun k -> Remove k) key);
+        (1, map (fun k -> Peek k) key);
+      ])
+
+let prop_lru_matches_reference =
+  QCheck.Test.make ~name:"lru matches a list model as its table grows"
+    ~count:30
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d, %d ops" cap (List.length ops))
+       QCheck.Gen.(
+         pair (int_range 1 600)
+           (int_range 2000 5000 >>= fun n -> list_repeat n lru_op_gen)))
+    (fun (cap, ops) ->
+      let c = Lru.create ~capacity:cap in
+      (* Bindings in recency order, most recently used first. *)
+      let model = ref [] in
+      let promote k v = model := (k, v) :: List.remove_assoc k !model in
+      let step i op =
+        let ok =
+          match op with
+          | Add (k, v) ->
+            let expect =
+              if List.mem_assoc k !model then (
+                promote k v;
+                None)
+              else begin
+                model := (k, v) :: !model;
+                if List.length !model <= cap then None
+                else
+                  match List.rev !model with
+                  | victim :: rest ->
+                    model := List.rev rest;
+                    Some victim
+                  | [] -> assert false
+              end
+            in
+            Lru.add c k v = expect
+          | Find k ->
+            let expect = List.assoc_opt k !model in
+            Option.iter (promote k) expect;
+            Lru.find c k = expect
+          | Touch k ->
+            Option.iter (promote k) (List.assoc_opt k !model);
+            Lru.touch c k;
+            true
+          | Remove k ->
+            let expect = List.assoc_opt k !model in
+            model := List.remove_assoc k !model;
+            Lru.remove c k = expect
+          | Peek k -> Lru.peek c k = List.assoc_opt k !model
+        in
+        ok
+        && Lru.size c = List.length !model
+        && (i land 63 <> 0 || Lru.to_list c = !model)
+      in
+      let rec run i = function
+        | [] -> Lru.to_list c = !model
+        | op :: rest -> step i op && run (i + 1) rest
+      in
+      run 0 ops)
+
 (* --- Buffer pool -------------------------------------------------------- *)
 
 let test_pool_hit_miss () =
@@ -190,6 +270,7 @@ let suite =
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
     QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
     QCheck_alcotest.to_alcotest prop_lru_eviction_is_lru;
+    QCheck_alcotest.to_alcotest prop_lru_matches_reference;
     Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool dirty eviction" `Quick test_pool_eviction_dirty;
     Alcotest.test_case "pool clean" `Quick test_pool_clean;

@@ -227,6 +227,24 @@ let test_validate_rejects_big_locality () =
        false
      with Invalid_argument _ -> true)
 
+let test_validate_rejects_bad_think () =
+  let params = mk_params () in
+  List.iter
+    (fun think_time ->
+      Alcotest.(check bool)
+        (Printf.sprintf "think_time %g rejected" think_time)
+        true
+        (try
+           Wparams.validate
+             { params with Wparams.think_time }
+             ~db_pages:cfg_db ~objects_per_page:opp;
+           false
+         with Invalid_argument _ -> true))
+    [ -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
+  Wparams.validate
+    { params with Wparams.think_time = 100.0 }
+    ~db_pages:cfg_db ~objects_per_page:opp
+
 let test_preset_regions () =
   let p = mk_params ~which:Presets.Hicon () in
   (match p.Wparams.clients.(0).Wparams.hot_region with
@@ -670,6 +688,8 @@ let suite =
       test_validate_rejects_bad_region;
     Alcotest.test_case "validate rejects big locality" `Quick
       test_validate_rejects_big_locality;
+    Alcotest.test_case "validate rejects bad think time" `Quick
+      test_validate_rejects_bad_think;
     Alcotest.test_case "preset regions" `Quick test_preset_regions;
     Alcotest.test_case "preset scaling" `Quick test_preset_scaling;
     Alcotest.test_case "preset name roundtrip" `Quick test_name_roundtrip;
