@@ -85,7 +85,7 @@ let install_page sys cid txn p ~unavailable ~version =
     if not (Ids.Int_set.is_empty entry.dirty) then begin
       Metrics.note_client_merge sys.metrics
         ~objects:(Ids.Int_set.cardinal entry.dirty);
-      Resources.Cpu.system sys.clients.ccpu.(cid)
+      Resources.Cpu.system (Model.client_cpu sys cid)
         (sys.cfg.Config.copy_merge_inst
         *. float_of_int (Ids.Int_set.cardinal entry.dirty))
     end;

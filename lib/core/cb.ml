@@ -27,7 +27,7 @@ let wait_for_txn_end sys sv cid ~writer ~blocking =
 
 let handle sys ~sv ~client:cid ~writer kind =
   let cs = sys.clients in
-  Resources.Cpu.system cs.ccpu.(cid) sys.cfg.Config.lock_inst;
+  Resources.Cpu.system (Model.client_cpu sys cid) sys.cfg.Config.lock_inst;
   let rec attempt () =
     match kind with
     | Purge_page p -> (

@@ -3,7 +3,7 @@ open Simcore
 open Model
 
 let local_lock_charge sys cid =
-  Resources.Cpu.system sys.clients.ccpu.(cid) sys.cfg.Config.lock_inst
+  Resources.Cpu.system (Model.client_cpu sys cid) sys.cfg.Config.lock_inst
 
 (* Zombie guard: a fiber that resumed from a non-cancellable suspension
    (CPU, disk, network) after its client crashed must not touch caches,
@@ -211,7 +211,7 @@ let exec_op sys cid txn (op : Workload.Refstring.op) =
     if op.write then sys.params.Workload.Wparams.per_object_write_instr
     else sys.params.Workload.Wparams.per_object_read_instr
   in
-  Resources.Cpu.user sys.clients.ccpu.(cid) cost
+  Resources.Cpu.user (Model.client_cpu sys cid) cost
 
 (* --- Transaction termination ------------------------------------------ *)
 
@@ -324,11 +324,9 @@ let make_txn sys ~client ~ops ~first_started =
   }
 
 let restart_delay sys cid =
-  let hist = sys.clients.resp_history.(cid) in
-  let mean =
-    if Stats.Welford.count hist > 0 then Stats.Welford.mean hist else 0.25
-  in
-  Rng.exponential sys.clients.crng.(cid) ~mean
+  let cs = sys.clients in
+  let mean = if cs.resp_n.(cid) > 0 then cs.resp_mean.(cid) else 0.25 in
+  Rng.exponential cs.crng.(cid) ~mean
 
 let rec attempt sys cid ops ~first_started ~restarts =
   let txn = make_txn sys ~client:cid ~ops ~first_started in
@@ -353,7 +351,12 @@ let rec attempt sys cid ops ~first_started ~restarts =
     let response = now -. first_started in
     Metrics.note_commit sys.metrics ~response;
     Model.tl_hook sys (fun x -> Tl.txn_commit x ~client:cid ~tid:txn.tid ~now);
-    Stats.Welford.add sys.clients.resp_history.(cid) response;
+    (* The running mean, updated exactly as [Stats.Welford.add] does. *)
+    let cs = sys.clients in
+    let n = cs.resp_n.(cid) + 1 in
+    let mean = cs.resp_mean.(cid) in
+    cs.resp_n.(cid) <- n;
+    cs.resp_mean.(cid) <- mean +. ((response -. mean) /. float_of_int n);
     (* First commit after a cold restart ends the outage window. *)
     (match sys.clients.crashed_at.(cid) with
     | Some t0 ->

@@ -5,11 +5,16 @@
     stream and executes them one after another in a fiber.  A client
     holds a fiber only while it has work: with a positive think time,
     the think (and the start-up phase wait) is an engine timer that
-    spawns the client's next fiber.  An operation acquires read (and,
-    for updates, write) permission per the protocol, then charges the
-    per-object application CPU cost at user priority.  Transactions
-    aborted by deadlock are resubmitted with the same reference string
-    after a randomized restart delay (Section 4.1). *)
+    spawns the client's next fiber.  A client's CPU and cache tables
+    are built on its first charge and first insert ({!Model.client_cpu},
+    {!Storage.Lru}), so clients that never start a transaction hold
+    neither.  An operation acquires read (and, for updates, write)
+    permission per the protocol, then charges the per-object
+    application CPU cost at user priority.  Transactions aborted by
+    deadlock are resubmitted with the same reference string after a
+    randomized restart delay (Section 4.1) whose mean is the client's
+    running mean response time ([Model.clients.resp_mean]), 0.25 s
+    before its first commit. *)
 
 val start : Model.sys -> unit
 (** Start the transaction source of every client. *)

@@ -31,16 +31,21 @@ type txn = {
    (crash-driver liveness guards, server-recovery reconstruction, the
    end-of-run audit) touch one contiguous word per client instead of
    chasing a pointer per record.  Boundary audits do not scan the
-   population: they walk [by_tid] and [down_clients]. *)
+   population: they walk [by_tid] and [down_clients].  A client that
+   never runs holds only its stream and flat slots: its [ccpu] entry is
+   the shared [idle_cpu] until {!client_cpu} first builds its own, and
+   its caches build their tables on first insert. *)
 type clients = {
   n : int;
   ccpu : Resources.Cpu.t array;
+  idle_cpu : Resources.Cpu.t;
   crng : Rng.t array;
   cache : (Ids.page, page_entry) Lru.t array;
   ocache : (Ids.Oid.t, obj_entry) Lru.t array;
   running : txn option array;
   end_hooks : (unit -> unit) list array;
-  resp_history : Stats.Welford.t array;
+  resp_n : int array;
+  resp_mean : float array;
   up : bool array;
   epoch : int array;
   crashed_at : float option array;
@@ -114,6 +119,23 @@ let num_clients sys = sys.clients.n
 let txn_live sys (txn : txn) =
   let cs = sys.clients in
   cs.up.(txn.client) && cs.epoch.(txn.client) = txn.epoch
+
+(* Kept out of [client_cpu] so the common path (the CPU exists) stays
+   a load and a compare. *)
+let build_client_cpu sys cid =
+  let cs = sys.clients in
+  let cpu = Resources.Cpu.idle_copy cs.idle_cpu in
+  cs.ccpu.(cid) <- cpu;
+  (match sys.timeline with
+  | None -> ()
+  | Some tlx ->
+    Resources.Cpu.attach_timeline cpu ~timeline:(Tl.timeline tlx)
+      ~track:(Tl.trk_client_cpus tlx).(cid));
+  cpu
+
+let client_cpu sys cid =
+  let cpu = sys.clients.ccpu.(cid) in
+  if cpu != sys.clients.idle_cpu then cpu else build_client_cpu sys cid
 
 let fresh_tid sys =
   let tid = sys.next_tid in
@@ -297,20 +319,17 @@ let create ~cfg ~algo ~params ~seed =
      idealized coordinator; see DESIGN.md). *)
   Locking.Waits_for.link (Array.map (fun sv -> sv.wfg) servers);
   let n = cfg.Config.num_clients in
-  (* Field-by-field construction is effect-equivalent to the old
-     record-per-client loop: [Cpu.create] is pure allocation, so the
-     only shared-state effect is [Rng.split], and [Array.init] performs
-     its ascending per-client splits in the historical order. *)
+  (* Every client starts on the shared idle CPU ({!client_cpu} builds
+     its own on first use) and with table-less caches, so the only
+     per-client construction with a shared-state effect is [Rng.split],
+     performed in ascending client order as it always was. *)
+  let idle_cpu = Resources.Cpu.create engine ~mips:cfg.Config.client_mips in
   let clients =
-    let ccpu =
-      Array.init n (fun _ ->
-          Resources.Cpu.create engine ~mips:cfg.Config.client_mips)
-    in
-    let crng = Array.init n (fun _ -> Rng.split rng) in
     {
       n;
-      ccpu;
-      crng;
+      ccpu = Array.make n idle_cpu;
+      idle_cpu;
+      crng = Array.init n (fun _ -> Rng.split rng);
       cache =
         Array.init n (fun _ ->
             Lru.create ~capacity:(Config.client_buf_pages cfg));
@@ -319,7 +338,8 @@ let create ~cfg ~algo ~params ~seed =
             Lru.create ~capacity:(Config.client_buf_objects cfg));
       running = Array.make n None;
       end_hooks = Array.make n [];
-      resp_history = Array.init n (fun _ -> Stats.Welford.create ());
+      resp_n = Array.make n 0;
+      resp_mean = Array.make n 0.0;
       up = Array.make n true;
       epoch = Array.make n 0;
       crashed_at = Array.make n None;
@@ -363,7 +383,8 @@ let create ~cfg ~algo ~params ~seed =
   (* Attach the resource-level observers: CPU busy spans, per-disk and
      network transfer spans.  Pure observation, attached after
      creation so the construction order (and every RNG split above)
-     is identical with the timeline off. *)
+     is identical with the timeline off.  Client CPUs attach when
+     {!client_cpu} builds them. *)
   (match timeline with
   | None -> ()
   | Some tlx ->
@@ -375,11 +396,6 @@ let create ~cfg ~algo ~params ~seed =
         Resources.Disk_array.attach_timeline sv.sdisks ~timeline:tl
           ~tracks:(Tl.trk_disks tlx ~sid:sv.sid))
       servers;
-    Array.iteri
-      (fun i cpu ->
-        Resources.Cpu.attach_timeline cpu ~timeline:tl
-          ~track:(Tl.trk_client_cpus tlx).(i))
-      clients.ccpu;
     Resources.Network.attach_timeline sys.net ~timeline:tl
       ~track:(Tl.trk_net tlx));
   sys

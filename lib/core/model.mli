@@ -51,21 +51,38 @@ type txn = {
     (crash-driver liveness guards, server-recovery reconstruction, the
     end-of-run audit) to one contiguous word per client, which is what
     makes 10k+ client runs affordable.  Boundary audits never scan the
-    population: they walk the [by_tid] and [down_clients] indexes. *)
+    population: they walk the [by_tid] and [down_clients] indexes.
+
+    A client that never runs costs its random stream and one slot per
+    array: CPUs and cache tables are built on first use, so a
+    population that mostly thinks pays only for the clients that
+    work. *)
 type clients = {
   n : int;  (** the population; every array below has this length *)
   ccpu : Resources.Cpu.t array;
+      (** each client's workstation CPU.  Every entry is [idle_cpu]
+          until the client's first charge, when {!client_cpu} swaps in
+          its own; charge only through {!client_cpu}.  Kept as an
+          array of CPUs so that utilisation resets and sums can walk
+          it directly (the shared idle CPU reports 0.0). *)
+  idle_cpu : Resources.Cpu.t;
+      (** the shared stand-in for every CPU not yet built; never
+          charged, so its utilisation is 0.0 *)
   crng : Rng.t array;
   cache : (Ids.page, page_entry) Lru.t array;
-      (** page-grain cache (PS family) *)
+      (** page-grain cache (PS family); its table is built on the
+          first insert, so OS clients never build one *)
   ocache : (Ids.Oid.t, obj_entry) Lru.t array;
-      (** object-grain cache (OS) *)
+      (** object-grain cache (OS); likewise built on first insert *)
   running : txn option array;
   end_hooks : (unit -> unit) list array;
       (** resumers of callbacks blocked on the running transaction;
           drained when it terminates *)
-  resp_history : Stats.Welford.t array;
-      (** all-time response times, used to size restart delays *)
+  resp_n : int array;
+      (** all-time commits, used to size restart delays *)
+  resp_mean : float array;
+      (** running mean of those commits' response times (meaningful
+          once [resp_n] is positive) *)
   up : bool array;
       (** false while crashed (awaiting cold restart); written only by
           {!set_up} *)
@@ -175,6 +192,14 @@ val txn_live : sys -> txn -> bool
 (** The transaction's client is up and still in the incarnation that
     started the transaction.  False for "zombie" transactions whose
     client crashed while one of their fibers was suspended. *)
+
+val client_cpu : sys -> int -> Resources.Cpu.t
+(** The client's workstation CPU, built on the first call: the shared
+    idle CPU in [ccpu] is replaced by a fresh one whose utilisation
+    integrates from the idle CPU's origin (creation or the last reset),
+    so the client reports exactly what a CPU built at creation would.
+    With the timeline on, the new CPU gets the client's track.  Every
+    client CPU charge goes through here. *)
 
 val fresh_tid : sys -> int
 val num_clients : sys -> int

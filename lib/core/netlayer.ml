@@ -4,7 +4,7 @@ open Simcore
 type endpoint = Client of int | Server of int
 
 let cpu_of sys = function
-  | Client c -> sys.clients.ccpu.(c)
+  | Client c -> Model.client_cpu sys c
   | Server s -> sys.servers.(s).scpu
 
 (* The fault-free path below is kept byte-for-byte identical to the

@@ -240,7 +240,7 @@ let deescalate_page sys p holder =
         ~src:(Netlayer.Server sv.sid) ~dst:(Netlayer.Client hcid);
       (* Client side: atomically convert the local bookkeeping so any
          further updates at the holder request proper object locks. *)
-      Resources.Cpu.system sys.clients.ccpu.(hcid) sys.cfg.Config.lock_inst;
+      Resources.Cpu.system (Model.client_cpu sys hcid) sys.cfg.Config.lock_inst;
       (* Re-resolve after the suspensions above: the holder may have
          ended (or its client started a new transaction) while the
          message and CPU charge were in flight. *)

@@ -30,11 +30,10 @@ type t = {
   mutable tl : tl_state option;
 }
 
-let create engine ~mips =
-  if mips <= 0.0 then invalid_arg "Cpu.create: mips must be positive";
+let make engine ~rate ~origin =
   {
     engine;
-    rate = mips *. 1e6;
+    rate;
     sys_queue = Queue.create ();
     sys_active = false;
     users = [];
@@ -42,9 +41,22 @@ let create engine ~mips =
     min_rem = infinity;
     last_progress = Engine.now engine;
     gen = 0;
-    busy = Stats.Time_weighted.create ~now:(Engine.now engine);
+    busy = Stats.Time_weighted.create ~now:origin;
     tl = None;
   }
+
+let create engine ~mips =
+  if mips <= 0.0 then invalid_arg "Cpu.create: mips must be positive";
+  make engine ~rate:(mips *. 1e6) ~origin:(Engine.now engine)
+
+(* While a CPU has never run work its integral is exactly 0.0 and only
+   the origin of the integration is observable, so a copy that starts
+   from the same origin is indistinguishable from one created (and
+   reset) alongside it.  [gen] moves on every charge, so it is 0 only
+   on a CPU that never ran anything. *)
+let idle_copy t =
+  if t.gen <> 0 then invalid_arg "Cpu.idle_copy: the CPU has run work";
+  make t.engine ~rate:t.rate ~origin:(Stats.Time_weighted.origin t.busy)
 
 let is_busy t = t.sys_active || t.n_users > 0
 

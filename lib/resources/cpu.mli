@@ -15,6 +15,14 @@ type t
 val create : Simcore.Engine.t -> mips:float -> t
 (** A CPU executing [mips] million instructions per second. *)
 
+val idle_copy : t -> t
+(** [idle_copy t] is a fresh CPU of [t]'s rating whose utilization
+    integrates from [t]'s origin (its creation or last {!reset_stats}):
+    exactly the CPU that would have been created and reset alongside
+    [t] and left idle until now.  Lets a population share one idle CPU
+    and build its own only on first use.  Raises [Invalid_argument] if
+    [t] ever ran work. *)
+
 val system : t -> float -> unit
 (** [system t instr] runs [instr] instructions at system priority.
     User-level work in progress is suspended until the system queue

@@ -62,6 +62,8 @@ module Time_weighted = struct
     t.last <- now;
     t.value <- v
 
+  let origin t = t.start
+
   let average t ~now =
     let span = now -. t.start in
     if span <= 0.0 then 0.0

@@ -58,6 +58,9 @@ module Time_weighted : sig
   val average : t -> now:float -> float
   (** Average of the signal from creation (or last [reset]) to [now]. *)
 
+  val origin : t -> float
+  (** Start of the current integration: creation or last [reset]. *)
+
   val reset : t -> now:float -> unit
   (** Restart integration at [now], keeping the current signal value. *)
 end

@@ -8,7 +8,8 @@
 type ('k, 'v) t
 
 val create : capacity:int -> ('k, 'v) t
-(** [capacity] must be positive. *)
+(** [capacity] must be positive.  The hash table is built on the first
+    insert, so a cache that never holds anything costs one record. *)
 
 val capacity : _ t -> int
 val size : _ t -> int

@@ -7,18 +7,20 @@ type t = op array
 (* Draw [n] distinct pages, each independently routed to the hot or cold
    region; duplicates are rejected and redrawn.  If one region becomes
    exhausted the draw falls through to the other, so generation always
-   terminates when Wparams.validate accepted the workload. *)
+   terminates when Wparams.validate accepted the workload.  Running
+   counts of the chosen pages inside each region (the regions may
+   overlap, so a page can count in both) make the exhaustion test O(1)
+   per draw. *)
 let draw_pages rng (c : Wparams.per_client) n =
   let chosen = Hashtbl.create (2 * n) in
   let pick_in (r : Wparams.region) =
     Rng.int_in rng ~lo:r.first ~hi:r.last
   in
-  let region_full (r : Wparams.region) =
-    let size = Wparams.region_size r in
-    let inside = Hashtbl.fold (fun p () acc ->
-        if Wparams.in_region r p then acc + 1 else acc) chosen 0 in
-    inside >= size
+  let in_hot p =
+    match c.hot_region with Some hr -> Wparams.in_region hr p | None -> false
   in
+  let hot_chosen = ref 0 and cold_chosen = ref 0 in
+  let full (r : Wparams.region) chosen = chosen >= Wparams.region_size r in
   let out = ref [] in
   let count = ref 0 in
   while !count < n do
@@ -26,8 +28,8 @@ let draw_pages rng (c : Wparams.per_client) n =
       match c.hot_region with
       | None -> false
       | Some hr ->
-        if region_full hr then false
-        else if region_full c.cold_region then true
+        if full hr !hot_chosen then false
+        else if full c.cold_region !cold_chosen then true
         else Rng.bool rng ~p:c.hot_access_prob
     in
     let p =
@@ -38,6 +40,8 @@ let draw_pages rng (c : Wparams.per_client) n =
     in
     if not (Hashtbl.mem chosen p) then begin
       Hashtbl.add chosen p ();
+      if in_hot p then incr hot_chosen;
+      if Wparams.in_region c.cold_region p then incr cold_chosen;
       out := p :: !out;
       incr count
     end

@@ -172,7 +172,10 @@ let test_scaled_config_runs () =
    instant.  The cell is run step by step like [Runner.run] so the
    engine's event count can be read.  The values are those of clients
    that held a suspended fiber through every think: how a client waits
-   is host-side bookkeeping and must not move a single event. *)
+   is host-side bookkeeping and must not move a single event.  Client
+   CPU statistics restart at the end of the warm-up, as in [Runner.run],
+   and most clients first run after it: the mean client CPU utilisation
+   pins the utilisation origin of a CPU built on first use. *)
 type think_pin = {
   t_commits : int;
   t_aborts : int;
@@ -180,9 +183,17 @@ type think_pin = {
   t_resp_p99 : string;  (** [%h] of the p99 response time *)
   t_events : int;
   t_recoveries : int;
+  t_client_util : string;  (** [%h] of the mean client CPU utilisation *)
 }
 
-let think_cell ?arrival ~clients ~algo ~crash_rate ~warmup ~measure () =
+let mean_client_util sys =
+  let cs = sys.Model.clients in
+  Array.fold_left
+    (fun acc cpu -> acc +. Resources.Cpu.utilization cpu)
+    0.0 cs.Model.ccpu
+  /. float_of_int cs.Model.n
+
+let think_setup ?arrival ~clients ~crash_rate () =
   let cfg =
     {
       Config.default with
@@ -200,15 +211,21 @@ let think_cell ?arrival ~clients ~algo ~crash_rate ~warmup ~measure () =
         ~objects_per_page:cfg.Config.objects_per_page ~num_clients:clients
         ~locality:Low ~write_prob:0.1)
   in
-  let params = { params with Workload.Wparams.arrival } in
+  (cfg, { params with Workload.Wparams.arrival })
+
+let start_sys ~cfg ~algo ~params =
   let sys = Model.create ~cfg ~algo ~params ~seed:42 in
   Netlayer.install_edge_exchange sys;
   Audit.install sys;
   Client.start sys;
   Crash.install sys;
+  sys
+
+let run_think_sys sys ~warmup ~measure =
   let engine = sys.Model.engine and m = sys.Model.metrics in
   Simcore.Engine.run_until engine warmup;
   Metrics.reset m ~now:warmup;
+  Array.iter Resources.Cpu.reset_stats sys.Model.clients.Model.ccpu;
   Faults.reset_counters sys.Model.faults;
   Simcore.Engine.run_until engine (warmup +. measure);
   sys.Model.live <- false;
@@ -220,7 +237,12 @@ let think_cell ?arrival ~clients ~algo ~crash_rate ~warmup ~measure () =
     t_resp_p99 = Printf.sprintf "%h" (Metrics.response_quantile m 0.99);
     t_events = Simcore.Engine.events_processed engine;
     t_recoveries = Faults.recoveries sys.Model.faults;
+    t_client_util = Printf.sprintf "%h" (mean_client_util sys);
   }
+
+let think_cell ?arrival ~clients ~algo ~crash_rate ~warmup ~measure () =
+  let cfg, params = think_setup ?arrival ~clients ~crash_rate () in
+  run_think_sys (start_sys ~cfg ~algo ~params) ~warmup ~measure
 
 let test_think_pins () =
   let diurnal =
@@ -246,6 +268,8 @@ let test_think_pins () =
       check "events" (fun p -> p.t_events);
       check "recoveries" (fun p -> p.t_recoveries);
       Alcotest.(check string) (what ^ " resp p99") want.t_resp_p99 got.t_resp_p99;
+      Alcotest.(check string) (what ^ " client cpu util") want.t_client_util
+        got.t_client_util;
       if crash_rate > 0.0 then
         Alcotest.(check bool) (what ^ " recovered a crashed client") true
           (got.t_recoveries > 0))
@@ -253,30 +277,117 @@ let test_think_pins () =
       ( 2000, None, Algo.PS_AA, 0.0, 5.0,
         { t_commits = 95; t_aborts = 4; t_messages = 12320;
           t_resp_p99 = "0x1.30af0e78351d7p+1"; t_events = 205120;
-          t_recoveries = 0 } );
+          t_recoveries = 0;
+          t_client_util = "0x1.745c7c9b5b463p-9" } );
       ( 2000, None, Algo.PS_OO, 0.0, 5.0,
         { t_commits = 95; t_aborts = 3; t_messages = 13809;
           t_resp_p99 = "0x1.13579348cf211p+1"; t_events = 218997;
-          t_recoveries = 0 } );
+          t_recoveries = 0;
+          t_client_util = "0x1.8dbdb8723dc5bp-9" } );
       ( 2000, None, Algo.PS_AA, 0.005, 5.0,
         { t_commits = 92; t_aborts = 4; t_messages = 12032;
           t_resp_p99 = "0x1.0c8fca671cd17p+1"; t_events = 204264;
-          t_recoveries = 3 } );
+          t_recoveries = 3;
+          t_client_util = "0x1.6cfef12822e8dp-9" } );
       ( 2000, None, Algo.PS_OO, 0.005, 5.0,
         { t_commits = 97; t_aborts = 3; t_messages = 13709;
           t_resp_p99 = "0x1.1806015c78e89p+1"; t_events = 220704;
-          t_recoveries = 4 } );
+          t_recoveries = 4;
+          t_client_util = "0x1.8cfe04e054e91p-9" } );
       (* Think [0.05 * 250] = 12.5 s fits the window, so post-commit
          think timers fire too, under a diurnal arrival profile. *)
       ( 250, Some diurnal, Algo.PS_AA, 0.01, 12.0,
         { t_commits = 213; t_aborts = 17; t_messages = 34815;
           t_resp_p99 = "0x1.8a8c0eebf5d8p+1"; t_events = 474573;
-          t_recoveries = 13 } );
+          t_recoveries = 13;
+          t_client_util = "0x1.a2acbf89f5323p-6" } );
       ( 250, Some diurnal, Algo.PS_OO, 0.01, 12.0,
         { t_commits = 221; t_aborts = 17; t_messages = 44886;
           t_resp_p99 = "0x1.6d65bfffd60fcp+1"; t_events = 564544;
-          t_recoveries = 13 } );
+          t_recoveries = 13;
+          t_client_util = "0x1.f1aca57c9ec8ap-6" } );
     ]
+
+(* Lazy per-client state is invisible.  In a 20k-client think cell
+   (think 1000 s, 2 s + 5 s) only the first ~140 clients ever start a
+   transaction; the rest
+   keep the shared idle CPU, which nothing may charge, and empty caches
+   that never built a table.  Set-up (model, installs and start timers;
+   the workload parameters are built before) stays within a fixed
+   number of live words per client. *)
+let test_idle_population () =
+  let clients = 20_000 in
+  let cfg, params = think_setup ~clients ~crash_rate:0.0 () in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let sys = start_sys ~cfg ~algo:Algo.PS_AA ~params in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  let per_client = float_of_int (after - before) /. float_of_int clients in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per client after start (%.1f) <= 48" per_client)
+    true (per_client <= 48.0);
+  let cs = sys.Model.clients in
+  (* A client began a transaction iff it drew from its stream. *)
+  let streams = Array.map Simcore.Rng.copy cs.Model.crng in
+  let got = run_think_sys sys ~warmup:2.0 ~measure:5.0 in
+  let began = ref 0 in
+  Array.iteri
+    (fun cid r ->
+      if Simcore.Rng.bits64 (Simcore.Rng.copy r)
+         <> Simcore.Rng.bits64 (Simcore.Rng.copy cs.Model.crng.(cid))
+      then incr began)
+    streams;
+  Alcotest.(check int) "commits" 95 got.t_commits;
+  Alcotest.(check int) "events" 223120 got.t_events;
+  Alcotest.(check string) "client cpu util" "0x1.29e396e2af6b6p-12"
+    got.t_client_util;
+  let idle = cs.Model.idle_cpu in
+  Alcotest.(check (float 0.0)) "idle cpu never busy" 0.0
+    (Resources.Cpu.utilization idle);
+  Alcotest.(check int) "idle cpu has no users" 0 (Resources.Cpu.active_users idle);
+  let owners =
+    Array.fold_left (fun acc cpu -> if cpu != idle then acc + 1 else acc) 0
+      cs.Model.ccpu
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d CPU owners <= %d clients that began a transaction"
+       owners !began)
+    true
+    (owners > 0 && owners <= !began)
+
+(* A client CPU built on first use attaches the client's timeline track
+   then: exactly the clients that own a CPU record busy spans on their
+   CPU track (every first use is a charge, so each owner has one). *)
+let test_lazy_cpu_timeline () =
+  let clients = 250 in
+  let cfg, params = think_setup ~clients ~crash_rate:0.0 () in
+  let cfg = { cfg with Config.timeline = true; timeline_cap = 1 lsl 20 } in
+  let sys = start_sys ~cfg ~algo:Algo.PS_AA ~params in
+  ignore (run_think_sys sys ~warmup:2.0 ~measure:5.0);
+  let tlx = Option.get sys.Model.timeline in
+  let tl = Tl.timeline tlx in
+  Alcotest.(check int) "nothing dropped" 0 (Telemetry.Timeline.dropped tl);
+  let track_client = Hashtbl.create 256 in
+  Array.iteri
+    (fun cid trk -> Hashtbl.replace track_client trk cid)
+    (Tl.trk_client_cpus tlx);
+  let busy = Array.make clients false in
+  Telemetry.Timeline.iter tl (fun ~kind ~track ~name:_ ~arg:_ ~t0:_ ~t1:_ ->
+      match (kind, Hashtbl.find_opt track_client track) with
+      | Telemetry.Timeline.Begin, Some cid -> busy.(cid) <- true
+      | _ -> ());
+  let cs = sys.Model.clients in
+  let owners = ref 0 in
+  Array.iteri
+    (fun cid cpu ->
+      let owns = cpu != cs.Model.idle_cpu in
+      if owns then incr owners;
+      Alcotest.(check bool)
+        (Printf.sprintf "client %d: busy spans iff it owns a CPU" cid)
+        owns busy.(cid))
+    cs.Model.ccpu;
+  Alcotest.(check bool) "some clients own a CPU" true (!owners > 0)
 
 let suite =
   [
@@ -294,4 +405,8 @@ let suite =
     Alcotest.test_case "utilizations bounded" `Slow test_utilizations_bounded;
     Alcotest.test_case "scaled configuration runs" `Slow test_scaled_config_runs;
     Alcotest.test_case "think-time cells pinned" `Slow test_think_pins;
+    Alcotest.test_case "idle clients hold no CPU or cache" `Slow
+      test_idle_population;
+    Alcotest.test_case "lazily built client CPUs record busy spans" `Slow
+      test_lazy_cpu_timeline;
   ]

@@ -255,6 +255,24 @@ let test_pool_mark_dirty_absent () =
        false
      with Invalid_argument _ -> true)
 
+(* A hit on the most recently used entry must not relink it (nor
+   allocate): cache hits are the hottest path of every client. *)
+let test_lru_touch_head_no_alloc () =
+  let c = Lru.create ~capacity:4 in
+  ignore (Lru.add c 1 "a");
+  ignore (Lru.add c 2 "b");
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty = words (fun () -> for _ = 1 to 1000 do ignore (Sys.opaque_identity 2) done) in
+  let touched = words (fun () -> for _ = 1 to 1000 do Lru.touch c 2 done) in
+  Alcotest.(check bool)
+    (Printf.sprintf "touch allocates nothing (%g vs %g words)" touched empty)
+    true (touched <= empty);
+  Alcotest.(check (list int)) "order kept" [ 2; 1 ] (List.map fst (Lru.to_list c))
+
 let suite =
   [
     Alcotest.test_case "oid roundtrip" `Quick test_oid_roundtrip;
@@ -268,6 +286,8 @@ let suite =
     Alcotest.test_case "lru remove" `Quick test_lru_remove;
     Alcotest.test_case "lru to_list order" `Quick test_lru_to_list_order;
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
+    Alcotest.test_case "lru touch of the head allocates nothing" `Quick
+      test_lru_touch_head_no_alloc;
     QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
     QCheck_alcotest.to_alcotest prop_lru_eviction_is_lru;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;

@@ -285,6 +285,82 @@ let prop_refstring_within_db =
           && op.oid.Ids.Oid.slot >= 0 && op.oid.Ids.Oid.slot < opp)
         t)
 
+(* Every RNG draw of the preset generator, pinned: a digest of 200
+   refstrings drawn from one stream, cycling over the clients.  The
+   hand-built clients exercise the region fall-through paths: a hot
+   region smaller than [trans_size], and a cold region (overlapping the
+   hot one) that fills up. *)
+let refstring_digest params =
+  let rng = Simcore.Rng.create ~seed:11 in
+  let n = Array.length params.Wparams.clients in
+  let b = Buffer.create 65536 in
+  for i = 0 to 199 do
+    Array.iter
+      (fun (op : Refstring.op) ->
+        Printf.bprintf b "%d.%d%c " op.oid.Ids.Oid.page op.oid.Ids.Oid.slot
+          (if op.write then 'w' else 'r'))
+      (Refstring.generate ~rng ~params ~client:(i mod n) ~objects_per_page:opp);
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_refstring_digests () =
+  let hand_built ~hot ~cold ~hot_access_prob =
+    let base = mk_params ~which:Presets.Uniform () in
+    let c =
+      {
+        Wparams.hot_region = Some hot;
+        cold_region = cold;
+        hot_access_prob;
+        hot_write_prob = 0.3;
+        cold_write_prob = 0.1;
+      }
+    in
+    { base with Wparams.clients = [| c |] }
+  in
+  let cases =
+    List.concat_map
+      (fun which ->
+        List.map
+          (fun locality ->
+            ( Printf.sprintf "%s %s" (Presets.name_to_string which)
+                (if locality = Presets.Low then "low" else "high"),
+              mk_params ~which ~locality () ))
+          [ Presets.Low; Presets.High ])
+      Presets.all
+    @ [
+        ( "hot region smaller than trans_size",
+          hand_built ~hot:{ Wparams.first = 100; last = 109 }
+            ~cold:{ Wparams.first = 0; last = cfg_db - 1 }
+            ~hot_access_prob:0.9 );
+        ( "overlapping cold region fills up",
+          hand_built ~hot:{ Wparams.first = 0; last = 59 }
+            ~cold:{ Wparams.first = 40; last = 64 } ~hot_access_prob:0.1 );
+      ]
+  in
+  let want =
+    [
+      ("HOTCOLD low", "fefe78dae627de4e18a2e647ace57f68");
+      ("HOTCOLD high", "305852fe181d772fc63a6aa091f89f5b");
+      ("UNIFORM low", "f10cc8e2a431b6272efba03b9d1dda35");
+      ("UNIFORM high", "fcdfc0269fd1692fd428c6aeca30de30");
+      ("HICON low", "a6e43d899696f869e25dd2dd47f2f78f");
+      ("HICON high", "eb155f8a3a1bcae911ef0e7ddac9bd0b");
+      ("PRIVATE low", "6783e59c78634f6688e14adb1b287821");
+      ("PRIVATE high", "8d1f1ae7d3dff43e33cb4b844ccaee6e");
+      ("INTERLEAVED-PRIVATE low", "df343d84f584b39dc34d7ff6c06df751");
+      ("INTERLEAVED-PRIVATE high", "f415d33bfd396eb8276c873a2ed277a9");
+      ("hot region smaller than trans_size", "a1c6804fe8ff2e40830a8d47c400d7e2");
+      ("overlapping cold region fills up", "13edfb5c7f6ff5fa37010f4b665c1c08");
+    ]
+  in
+  Alcotest.(check int) "case count" (List.length want) (List.length cases);
+  List.iter
+    (fun (name, params) ->
+      Alcotest.(check string) name (List.assoc name want)
+        (refstring_digest params))
+    cases
+
 (* --- Generic object-base workloads --------------------------------------- *)
 
 (* Small bases keep the property battery fast; the structural
@@ -694,6 +770,7 @@ let suite =
     Alcotest.test_case "preset scaling" `Quick test_preset_scaling;
     Alcotest.test_case "preset name roundtrip" `Quick test_name_roundtrip;
     QCheck_alcotest.to_alcotest prop_refstring_within_db;
+    Alcotest.test_case "refstring digests pinned" `Quick test_refstring_digests;
     QCheck_alcotest.to_alcotest prop_objbase_deterministic;
     QCheck_alcotest.to_alcotest prop_objbase_no_dangling;
     QCheck_alcotest.to_alcotest prop_objbase_partition;
