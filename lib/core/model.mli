@@ -76,8 +76,8 @@ type clients = {
       (** object-grain cache (OS); likewise built on first insert *)
   running : txn option array;
   end_hooks : (unit -> unit) list array;
-      (** resumers of callbacks blocked on the running transaction;
-          drained when it terminates *)
+      (** wake-ups of fibers blocked on the running transaction
+          (callback handlers, token waits); drained when it terminates *)
   resp_n : int array;
       (** all-time commits, used to size restart delays *)
   resp_mean : float array;

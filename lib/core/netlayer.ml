@@ -32,8 +32,7 @@ let send_faulty sys ~cls ~src ~dst ~bytes ~instr =
     Resources.Cpu.system (cpu_of sys src) instr;
     Resources.Network.transfer sys.net ~bytes;
     if Faults.draw_msg_loss f then begin
-      Proc.suspend sys.engine (fun resume ->
-          ignore (Engine.after sys.engine timeout (fun () -> resume (Ok ()))));
+      Proc.hold sys.engine timeout;
       Faults.note_retransmit f;
       Metrics.note_msg_retry sys.metrics cls;
       attempt (retries + 1)
@@ -85,8 +84,7 @@ let send_down sys ~cls ~src ~dst ~bytes ~instr ~persist =
       (false, tries - 1)
     end
     else begin
-      Proc.suspend sys.engine (fun resume ->
-          ignore (Engine.after sys.engine timeout (fun () -> resume (Ok ()))));
+      Proc.hold sys.engine timeout;
       Faults.note_retransmit f;
       Metrics.note_msg_retry sys.metrics cls;
       attempt (tries + 1)

@@ -331,12 +331,12 @@ let acquire_token sys txn p =
         (* Owner still has uncommitted updates: wait for its end. *)
         Metrics.note_token_wait sys.metrics;
         let outcome =
-          Proc.suspend sys.engine (fun resume ->
+          Proc.suspend sys.engine (fun w ->
               let fired = ref false in
               let fire r =
                 if not !fired then begin
                   fired := true;
-                  resume (Ok r)
+                  Proc.resume w (Ok r)
                 end
               in
               let hooks = sys.clients.end_hooks in

@@ -4,7 +4,7 @@ open Simcore
 type 'item waiter = {
   w_txn : txn;
   kind : request_kind;
-  resume : grant Proc.resumer;
+  waiter : grant Proc.waiter;
 }
 
 type 'item entry = {
@@ -20,12 +20,6 @@ type 'item t = {
   txn_locks : (txn, 'item list) Hashtbl.t;
   mutable blocked_total : int;
 }
-
-let trace = Sys.getenv_opt "LOCK_TRACE" <> None
-
-let tr t fmt =
-  if trace then Printf.eprintf ("[%s] " ^^ fmt ^^ "\n%!") t.lock_name
-  else Printf.ifprintf stderr fmt
 
 let create engine ~waits_for ~lock_name =
   {
@@ -99,11 +93,10 @@ let rec process_queue t item e =
       ignore (Queue.pop e.queue);
       if w.kind = Lock && e.lock_holder <> Some w.w_txn then begin
         e.lock_holder <- Some w.w_txn;
-        record_lock t item w.w_txn;
-        tr t "queue-grant L txn=%d" w.w_txn
+        record_lock t item w.w_txn
       end;
       Waits_for.clear_wait t.waits_for w.w_txn;
-      w.resume (Ok Granted);
+      Proc.resume w.waiter (Ok Granted);
       process_queue t item e
     end
 
@@ -131,16 +124,15 @@ let acquire t item ~txn ~kind =
   if grantable_now e ~txn then begin
     if kind = Lock && e.lock_holder <> Some txn then begin
       e.lock_holder <- Some txn;
-      record_lock t item txn;
-      tr t "acquire-grant L txn=%d" txn
+      record_lock t item txn
     end
     else maybe_gc t item e;
     Granted
   end
   else begin
     t.blocked_total <- t.blocked_total + 1;
-    Proc.suspend t.engine (fun resume ->
-        let w = { w_txn = txn; kind; resume } in
+    Proc.suspend t.engine (fun waiter ->
+        let w = { w_txn = txn; kind; waiter } in
         Queue.add w e.queue;
         let cancel () =
           (* Cancellation is rare (deadlock victim / crash), so an O(n)
@@ -149,7 +141,7 @@ let acquire t item ~txn ~kind =
           Queue.iter (fun w' -> if not (w' == w) then Queue.add w' keep) e.queue;
           Queue.clear e.queue;
           Queue.transfer keep e.queue;
-          w.resume (Ok Aborted);
+          Proc.resume w.waiter (Ok Aborted);
           (* Removing a queued request may unblock its successors. *)
           process_queue t item e
         in
@@ -173,7 +165,6 @@ let release t item ~txn =
     if e.lock_holder = Some txn then begin
       e.lock_holder <- None;
       forget_lock t item txn;
-      tr t "release txn=%d" txn;
       process_queue t item e
     end
 
@@ -182,7 +173,6 @@ let release_all t ~txn =
   | None -> ()
   | Some items ->
     Hashtbl.remove t.txn_locks txn;
-    tr t "release-all txn=%d (%d items)" txn (List.length items);
     List.iter
       (fun item ->
         match entry_opt t item with
@@ -205,8 +195,7 @@ let force_grant t item ~txn =
   | Some _ -> ()
   | None ->
     e.lock_holder <- Some txn;
-    record_lock t item txn;
-    tr t "force-grant txn=%d" txn
+    record_lock t item txn
 
 let lock_count t =
   Hashtbl.fold

@@ -65,5 +65,4 @@ val waits : 'item t -> int
 
 val dump_waiting : 'item t -> ('item -> string) -> (txn * string) list
 (** Diagnostics: every queued request as (txn, description of the item's
-    entry: holder and queue).  Setting the [LOCK_TRACE] environment
-    variable additionally streams every grant/release to stderr. *)
+    entry: holder and queue). *)

@@ -1,6 +1,6 @@
 open Simcore
 
-type job = { mutable rem : float; resume : unit Proc.resumer }
+type job = { mutable rem : float; waiter : unit Proc.waiter }
 
 (* Optional timeline observer: one "busy" span per idle->busy->idle
    cycle, recorded on the edges [update_busy] already detects for the
@@ -15,7 +15,7 @@ type tl_state = {
 type t = {
   engine : Engine.t;
   rate : float; (* instructions per second *)
-  sys_queue : (float * unit Proc.resumer) Queue.t;
+  sys_queue : (float * unit Proc.waiter) Queue.t;
   mutable sys_active : bool;
   mutable users : job list;
   (* Cached [List.length users] and [fold min rem] so the per-event
@@ -120,7 +120,7 @@ and user_completion t =
   t.min_rem <- List.fold_left (fun acc j -> min acc j.rem) infinity running;
   update_busy t;
   reschedule_users t;
-  List.iter (fun j -> j.resume (Ok ())) finished
+  List.iter (fun j -> Proc.resume j.waiter (Ok ())) finished
 
 let rec start_next_system t =
   match Queue.take_opt t.sys_queue with
@@ -129,17 +129,17 @@ let rec start_next_system t =
     t.last_progress <- Engine.now t.engine;
     update_busy t;
     reschedule_users t
-  | Some (instr, resume) ->
+  | Some (instr, w) ->
     t.sys_active <- true;
     Engine.schedule_after t.engine (instr /. t.rate) (fun () ->
-        resume (Ok ());
+        Proc.resume w (Ok ());
         start_next_system t)
 
 let system t instr =
   if instr < 0.0 then invalid_arg "Cpu.system: negative work";
-  Proc.suspend t.engine (fun resume ->
+  Proc.suspend t.engine (fun w ->
       catch_up_users t;
-      Queue.push (instr, resume) t.sys_queue;
+      Queue.push (instr, w) t.sys_queue;
       if not t.sys_active then begin
         (* Freeze user progress and start serving the system queue. *)
         t.gen <- t.gen + 1;
@@ -151,9 +151,9 @@ let user t instr =
   if instr < 0.0 then invalid_arg "Cpu.user: negative work";
   if instr = 0.0 then ()
   else
-    Proc.suspend t.engine (fun resume ->
+    Proc.suspend t.engine (fun waiter ->
         catch_up_users t;
-        t.users <- { rem = instr; resume } :: t.users;
+        t.users <- { rem = instr; waiter } :: t.users;
         t.n_users <- t.n_users + 1;
         if instr < t.min_rem then t.min_rem <- instr;
         update_busy t;

@@ -1,8 +1,7 @@
 (* Thin policy wrapper over the {!Equeue} event core: time-travel
-   checks, cancellable timers, and event budgets.  The clock and the
-   seq counter live inside Equeue so the zero-delay hot path never
-   passes a float across a call boundary (which would box it without
-   flambda). *)
+   checks and event budgets.  The clock and the seq counter live inside
+   Equeue so the zero-delay hot path never passes a float across a call
+   boundary (which would box it without flambda). *)
 
 type t = { queue : Equeue.t }
 
@@ -38,43 +37,6 @@ let schedule_after t dt action =
     time_travel "Engine.schedule_after" ~requested:(now t +. dt) ~clock:(now t);
   if dt = 0.0 then schedule_now t action
   else schedule_at t (now t +. dt) action
-
-(* --- Cancellable timers ------------------------------------------------ *)
-
-type timer_state = Pending | Fired | Cancelled
-
-type timer = {
-  mutable state : timer_state;
-  deadline : float;
-  mutable tseq : int;
-  owner : t;
-}
-
-let after t dt action =
-  if dt < 0.0 then
-    time_travel "Engine.after" ~requested:(now t +. dt) ~clock:(now t);
-  let clock = now t in
-  let deadline = clock +. dt in
-  let tm = { state = Pending; deadline; tseq = 0; owner = t } in
-  let act () =
-    tm.state <- Fired;
-    action ()
-  in
-  let seq =
-    if deadline <= clock then Equeue.push_now t.queue act
-    else Equeue.push_at t.queue ~time:deadline act
-  in
-  tm.tseq <- seq;
-  tm
-
-let cancel tm =
-  if tm.state = Pending then begin
-    tm.state <- Cancelled;
-    Equeue.cancel tm.owner.queue ~seq:tm.tseq
-  end
-
-let timer_pending tm = tm.state = Pending
-let timer_deadline tm = tm.deadline
 
 exception Event_budget_exceeded of string
 
@@ -120,5 +82,4 @@ let run_until ?max_events t limit =
   if now t < limit then Equeue.set_clock t.queue limit
 
 let pending t = Equeue.size t.queue
-let queue_footprint t = Equeue.footprint t.queue
 let events_processed t = Equeue.popped t.queue

@@ -39,30 +39,6 @@ val schedule_now : t -> (unit -> unit) -> unit
     [schedule_after t 0.0 f] but skipping the time arithmetic — the
     fast path taken by every fiber resumption and wakeup. *)
 
-(** {2 Cancellable timers}
-
-    A [timer] is a one-shot event that can be disarmed before it
-    fires — the primitive behind retransmission timeouts: arm a timer
-    with the ack handler holding its handle, and [cancel] on ack. *)
-
-type timer
-
-val after : t -> float -> (unit -> unit) -> timer
-(** [after t dt f] schedules [f] like {!schedule_after} and returns a
-    handle; if the handle is {!cancel}ed before the deadline, [f] never
-    runs.  Raises {!Time_travel} when [dt] is negative. *)
-
-val cancel : timer -> unit
-(** Disarm; a no-op once the timer has fired or was already cancelled.
-    The queued entry is reclaimed lazily (see {!queue_footprint}), so
-    arm/cancel storms do not accumulate dead events. *)
-
-val timer_pending : timer -> bool
-(** True until the timer fires or is cancelled. *)
-
-val timer_deadline : timer -> float
-(** Absolute time at which the timer fires (if not cancelled). *)
-
 exception Event_budget_exceeded of string
 (** Raised by {!step}, {!run} and {!run_until} when the optional
     [?max_events] budget is exhausted.  The message records the clock,
@@ -85,13 +61,7 @@ val run_until : ?max_events:int -> t -> float -> unit
     [max_events] bounds the total events processed since creation. *)
 
 val pending : t -> int
-(** Number of live events currently queued (cancelled timers awaiting
-    lazy purge are not counted). *)
-
-val queue_footprint : t -> int
-(** Physical queue entries, including cancelled timers not yet purged.
-    Stays within a small constant factor of {!pending}: the queue
-    compacts itself once dead entries reach half the footprint. *)
+(** Number of events currently queued. *)
 
 val events_processed : t -> int
 (** Total events executed since creation (a cheap progress measure). *)

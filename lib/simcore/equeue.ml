@@ -25,12 +25,6 @@
    invisible to the simulation (golden tables stay byte-identical) —
    and advances the clock to the popped entry's time.
 
-   Cancellation is lazy: [cancel] records the seq in a dead set; dead
-   entries are dropped when they surface as the minimum, and when they
-   outnumber half the physical entries the containers are compacted in
-   place (filter + Floyd heapify), so cancel-heavy fault runs do not
-   accumulate dead timers.
-
    This is the engine's innermost loop, so the hot paths use unsafe
    array accesses.  Every such index is bounded by construction: ring
    indices are masked by the (power-of-two) capacity, heap indices stay
@@ -59,14 +53,13 @@ type t = {
   mutable racts : (unit -> unit) array;
   mutable rhead : int;
   mutable rcount : int;
-  mutable rlast_seq : int;
-  (* lazily purged cancellations, keyed by event seq *)
-  dead : (int, unit) Hashtbl.t;
-  mutable ndead : int;
-  capacity_hint : int;
 }
 
-let create ?(capacity = 0) () =
+(* First allocation of each container; both grow by doubling.  A power
+   of two, since the ring indexes with a mask. *)
+let initial_capacity = 64
+
+let create () =
   {
     floats = [| 0.0; neg_infinity |];
     seq = 0;
@@ -80,25 +73,19 @@ let create ?(capacity = 0) () =
     racts = [||];
     rhead = 0;
     rcount = 0;
-    rlast_seq = min_int;
-    dead = Hashtbl.create 16;
-    ndead = 0;
-    capacity_hint = max 0 capacity;
   }
 
 let clock q = Array.unsafe_get q.floats clock_slot
 let set_clock q v = Array.unsafe_set q.floats clock_slot v
-let last_seq q = q.seq
-let size q = q.hsize + q.rcount - q.ndead
-let footprint q = q.hsize + q.rcount
-let is_empty q = q.hsize + q.rcount - q.ndead = 0
+let size q = q.hsize + q.rcount
+let is_empty q = q.hsize + q.rcount = 0
 
 (* --- heap ---------------------------------------------------------------- *)
 
 let heap_grow q =
   let cap = Array.length q.htimes in
   if q.hsize >= cap then begin
-    let ncap = if cap = 0 then max 64 q.capacity_hint else cap * 2 in
+    let ncap = if cap = 0 then initial_capacity else cap * 2 in
     let ntimes = Array.make ncap 0.0 in
     let nseqs = Array.make ncap 0 in
     let nacts = Array.make ncap nop in
@@ -134,59 +121,57 @@ let heap_push q time seq act =
   Array.unsafe_set ss !i seq;
   Array.unsafe_set acts !i act
 
-(* Sift the element (time, seq, act) down from the hole at [i] within
-   the first [n] slots. *)
-let heap_sift_down q i n time seq act =
-  let ts = q.htimes and ss = q.hseqs and acts = q.hacts in
-  let i = ref i in
-  let continue = ref true in
-  while !continue do
-    let c1 = (4 * !i) + 1 in
-    if c1 >= n then continue := false
-    else begin
-      let m = ref c1 in
-      let mt = ref (Array.unsafe_get ts c1) in
-      let last = min (c1 + 3) (n - 1) in
-      for c = c1 + 1 to last do
-        let ct = Array.unsafe_get ts c in
-        if
-          ct < !mt
-          || (ct = !mt && Array.unsafe_get ss c < Array.unsafe_get ss !m)
-        then begin
-          m := c;
-          mt := ct
-        end
-      done;
-      if !mt < time || (!mt = time && Array.unsafe_get ss !m < seq) then begin
-        Array.unsafe_set ts !i !mt;
-        Array.unsafe_set ss !i (Array.unsafe_get ss !m);
-        Array.unsafe_set acts !i (Array.unsafe_get acts !m);
-        i := !m
-      end
-      else continue := false
-    end
-  done;
-  Array.unsafe_set ts !i time;
-  Array.unsafe_set ss !i seq;
-  Array.unsafe_set acts !i act
-
+(* Pop the root: move the last entry into the hole at the root and sift
+   it down.  The moving entry stays in locals throughout, so its time is
+   never boxed. *)
 let heap_remove_root q =
   let n = q.hsize - 1 in
   q.hsize <- n;
-  let time = Array.unsafe_get q.htimes n in
-  let seq = Array.unsafe_get q.hseqs n in
-  let act = Array.unsafe_get q.hacts n in
-  Array.unsafe_set q.hacts n nop;
+  let ts = q.htimes and ss = q.hseqs and acts = q.hacts in
+  let time = Array.unsafe_get ts n in
+  let seq = Array.unsafe_get ss n in
+  let act = Array.unsafe_get acts n in
+  Array.unsafe_set acts n nop;
   (* release the closure *)
-  if n > 0 then heap_sift_down q 0 n time seq act
+  if n > 0 then begin
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let c1 = (4 * !i) + 1 in
+      if c1 >= n then continue := false
+      else begin
+        let m = ref c1 in
+        let mt = ref (Array.unsafe_get ts c1) in
+        let last = min (c1 + 3) (n - 1) in
+        for c = c1 + 1 to last do
+          let ct = Array.unsafe_get ts c in
+          if
+            ct < !mt
+            || (ct = !mt && Array.unsafe_get ss c < Array.unsafe_get ss !m)
+          then begin
+            m := c;
+            mt := ct
+          end
+        done;
+        if !mt < time || (!mt = time && Array.unsafe_get ss !m < seq) then begin
+          Array.unsafe_set ts !i !mt;
+          Array.unsafe_set ss !i (Array.unsafe_get ss !m);
+          Array.unsafe_set acts !i (Array.unsafe_get acts !m);
+          i := !m
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set ts !i time;
+    Array.unsafe_set ss !i seq;
+    Array.unsafe_set acts !i act
+  end
 
 (* --- ring ---------------------------------------------------------------- *)
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
-
 let ring_grow q =
   let cap = Array.length q.rtimes in
-  let ncap = if cap = 0 then next_pow2 (max 64 q.capacity_hint) 64 else cap * 2 in
+  let ncap = if cap = 0 then initial_capacity else cap * 2 in
   let ntimes = Array.make ncap 0.0 in
   let nseqs = Array.make ncap 0 in
   let nacts = Array.make ncap nop in
@@ -206,8 +191,8 @@ let ring_grow q =
 (* The dropped slot is NOT cleared: writing [nop] into the action array
    costs a write barrier on the hottest path, and a stale closure
    lingers only until the slot is reused — at most [capacity] closures
-   are retained.  [ring_grow] copies the live range and [compact]
-   clears what it frees, so the staleness never spreads. *)
+   are retained.  [ring_grow] copies only the live range, so the
+   staleness never spreads. *)
 let ring_drop_head q =
   q.rhead <- (q.rhead + 1) land (Array.length q.rtimes - 1);
   q.rcount <- q.rcount - 1
@@ -229,7 +214,6 @@ let push_now q act =
   Array.unsafe_set q.rseqs slot seq;
   Array.unsafe_set q.racts slot act;
   Array.unsafe_set q.floats rlast_slot time;
-  q.rlast_seq <- seq;
   q.rcount <- q.rcount + 1;
   seq
 
@@ -239,7 +223,7 @@ let push_at q ~time act =
   heap_push q time seq act;
   seq
 
-(* --- arbitration and dead-entry settling --------------------------------- *)
+(* --- arbitration ------------------------------------------------------------ *)
 
 (* True when the ring head precedes the heap root in (time, seq) order.
    Only meaningful when at least one container is non-empty. *)
@@ -253,40 +237,7 @@ let ring_first q =
      || rt = ht
         && Array.unsafe_get q.rseqs q.rhead < Array.unsafe_get q.hseqs 0)
 
-(* Drop dead entries sitting at the front until the minimum is live.
-   Cheap in the fault-free case: [ndead = 0] short-circuits. *)
-let rec settle q =
-  if q.ndead > 0 && q.hsize + q.rcount > 0 then
-    if ring_first q then begin
-      let seq = Array.unsafe_get q.rseqs q.rhead in
-      if Hashtbl.mem q.dead seq then begin
-        Hashtbl.remove q.dead seq;
-        q.ndead <- q.ndead - 1;
-        ring_drop_head q;
-        settle q
-      end
-    end
-    else begin
-      let seq = Array.unsafe_get q.hseqs 0 in
-      if Hashtbl.mem q.dead seq then begin
-        Hashtbl.remove q.dead seq;
-        q.ndead <- q.ndead - 1;
-        heap_remove_root q;
-        settle q
-      end
-    end
-
 let empty_err () = invalid_arg "Equeue: empty"
-
-let min_time q =
-  if is_empty q then empty_err ();
-  if ring_first q then Array.unsafe_get q.rtimes q.rhead
-  else Array.unsafe_get q.htimes 0
-
-let min_seq q =
-  if is_empty q then empty_err ();
-  if ring_first q then Array.unsafe_get q.rseqs q.rhead
-  else Array.unsafe_get q.hseqs 0
 
 let has_before q limit =
   (not (is_empty q))
@@ -297,28 +248,21 @@ let has_before q limit =
   in
   mt <= limit
 
-(* The invariant maintained by [settle] — the front entry of either
-   container is live whenever [ndead > 0] — lets [pop_min] take the
-   minimum without consulting the dead set. *)
 let pop_min q =
   if is_empty q then empty_err ();
   q.npopped <- q.npopped + 1;
-  let act =
-    if ring_first q then begin
-      Array.unsafe_set q.floats clock_slot (Array.unsafe_get q.rtimes q.rhead);
-      let act = Array.unsafe_get q.racts q.rhead in
-      ring_drop_head q;
-      act
-    end
-    else begin
-      Array.unsafe_set q.floats clock_slot (Array.unsafe_get q.htimes 0);
-      let act = Array.unsafe_get q.hacts 0 in
-      heap_remove_root q;
-      act
-    end
-  in
-  if q.ndead > 0 then settle q;
-  act
+  if ring_first q then begin
+    Array.unsafe_set q.floats clock_slot (Array.unsafe_get q.rtimes q.rhead);
+    let act = Array.unsafe_get q.racts q.rhead in
+    ring_drop_head q;
+    act
+  end
+  else begin
+    Array.unsafe_set q.floats clock_slot (Array.unsafe_get q.htimes 0);
+    let act = Array.unsafe_get q.hacts 0 in
+    heap_remove_root q;
+    act
+  end
 
 let popped q = q.npopped
 
@@ -332,7 +276,7 @@ let popped q = q.npopped
 let drain q =
   let live = ref true in
   while !live do
-    if q.hsize = 0 && q.ndead = 0 then
+    if q.hsize = 0 then
       if q.rcount = 0 then live := false
       else begin
         Array.unsafe_set q.floats clock_slot
@@ -342,17 +286,15 @@ let drain q =
         q.npopped <- q.npopped + 1;
         act ()
       end
-    else if is_empty q then live := false
     else (pop_min q) ()
   done
 
 let drain_until q limit =
   let live = ref true in
   while !live do
-    if q.hsize = 0 && q.ndead = 0 then
-      if
-        q.rcount = 0 || Array.unsafe_get q.rtimes q.rhead > limit
-      then live := false
+    if q.hsize = 0 then
+      if q.rcount = 0 || Array.unsafe_get q.rtimes q.rhead > limit then
+        live := false
       else begin
         Array.unsafe_set q.floats clock_slot
           (Array.unsafe_get q.rtimes q.rhead);
@@ -364,67 +306,3 @@ let drain_until q limit =
     else if has_before q limit then (pop_min q) ()
     else live := false
   done
-
-(* --- lazy cancellation --------------------------------------------------- *)
-
-let purge_floor = 64
-
-let compact q =
-  (* Heap: filter live entries to the front, then Floyd heapify.  The
-     (time, seq) order is strict, so heapify reproduces the exact drain
-     order of the unpurged heap. *)
-  let n = q.hsize in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let seq = q.hseqs.(i) in
-    if Hashtbl.mem q.dead seq then begin
-      Hashtbl.remove q.dead seq;
-      q.ndead <- q.ndead - 1
-    end
-    else begin
-      q.htimes.(!k) <- q.htimes.(i);
-      q.hseqs.(!k) <- seq;
-      q.hacts.(!k) <- q.hacts.(i);
-      incr k
-    end
-  done;
-  for i = !k to n - 1 do
-    q.hacts.(i) <- nop
-  done;
-  q.hsize <- !k;
-  if !k > 1 then
-    for i = (!k - 2) / 4 downto 0 do
-      heap_sift_down q i !k q.htimes.(i) q.hseqs.(i) q.hacts.(i)
-    done;
-  (* Ring: filter in place preserving order. *)
-  if q.rcount > 0 then begin
-    let mask = Array.length q.rtimes - 1 in
-    let m = q.rcount in
-    let kept = ref 0 in
-    for i = 0 to m - 1 do
-      let j = (q.rhead + i) land mask in
-      let seq = q.rseqs.(j) in
-      if Hashtbl.mem q.dead seq then begin
-        Hashtbl.remove q.dead seq;
-        q.ndead <- q.ndead - 1
-      end
-      else begin
-        let dst = (q.rhead + !kept) land mask in
-        q.rtimes.(dst) <- q.rtimes.(j);
-        q.rseqs.(dst) <- seq;
-        q.racts.(dst) <- q.racts.(j);
-        incr kept
-      end
-    done;
-    for i = !kept to m - 1 do
-      q.racts.((q.rhead + i) land mask) <- nop
-    done;
-    q.rcount <- !kept
-  end
-
-let cancel q ~seq =
-  Hashtbl.replace q.dead seq ();
-  q.ndead <- q.ndead + 1;
-  if q.ndead >= purge_floor && 2 * q.ndead >= q.hsize + q.rcount then
-    compact q
-  else settle q

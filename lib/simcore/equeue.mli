@@ -19,15 +19,13 @@
     across a function-call boundary: without flambda such an argument
     or return is boxed — an allocation per event.
 
-    Used by {!Engine}; the generic polymorphic {!Heap} remains for
-    other users. *)
+    Used by {!Engine}. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] pre-sizes the first allocation of each container
-    (default 64 slots); both grow by doubling.  The clock starts at
-    [0.0]. *)
+val create : unit -> t
+(** An empty queue; each container starts at 64 slots and grows by
+    doubling.  The clock starts at [0.0]. *)
 
 val clock : t -> float
 (** Current time: the time of the last entry popped, or the last
@@ -38,16 +36,8 @@ val set_clock : t -> float -> unit
     queued zero-delay entry breaks the ring's sort invariant; the next
     {!push_now} will then raise. *)
 
-val last_seq : t -> int
-(** The most recently assigned sequence number ([0] initially). *)
-
 val size : t -> int
-(** Live entries: physical entries minus cancelled-but-unpurged ones. *)
-
-val footprint : t -> int
-(** Physical entries, including dead ones awaiting lazy purge.  Bounded
-    by [2 * size + O(1)] outside of transient states: a purge runs as
-    soon as dead entries reach half the footprint. *)
+(** Queued entries. *)
 
 val is_empty : t -> bool
 
@@ -60,25 +50,17 @@ val push_now : t -> (unit -> unit) -> int
 (** Add an event at the current clock to the ring and return its seq.
     O(1) and allocation-free. *)
 
-val min_time : t -> float
-(** Time of the earliest live entry.  Raises [Invalid_argument] when
-    empty. *)
-
-val min_seq : t -> int
-(** Seq of the earliest live entry.  Raises [Invalid_argument] when
-    empty. *)
-
 val has_before : t -> float -> bool
-(** [has_before q limit] is true when a live entry with time <= [limit]
+(** [has_before q limit] is true when an entry with time <= [limit]
     is queued — the [run_until] loop condition, fused so the empty check
     and the arbitration happen in one call. *)
 
 val pop_min : t -> unit -> unit
-(** Remove the earliest live entry, advance the clock to its time, and
+(** Remove the earliest entry, advance the clock to its time, and
     return its action.  Raises [Invalid_argument] when empty. *)
 
 val popped : t -> int
-(** Total live entries removed so far, by {!pop_min} or the drain
+(** Total entries removed so far, by {!pop_min} or the drain
     loops — the engine's events-processed counter. *)
 
 val drain : t -> unit
@@ -89,10 +71,3 @@ val drain : t -> unit
 val drain_until : t -> float -> unit
 (** Like {!drain} but stops (without popping) once the earliest entry's
     time exceeds the limit.  Does not move the clock to the limit. *)
-
-val cancel : t -> seq:int -> unit
-(** Mark the entry with [seq] dead; it will never be returned by
-    {!pop_min}.  [seq] must currently be queued and live (the engine's
-    timer state machine guarantees single cancellation).  Dead entries
-    are dropped lazily; when they reach half the footprint (and at
-    least 64), both containers are compacted in place. *)

@@ -1,4 +1,4 @@
-type 'a state = Empty of 'a Proc.resumer list | Full of 'a
+type 'a state = Empty of 'a Proc.waiter list | Full of 'a
 
 type 'a t = { engine : Engine.t; mutable state : 'a state }
 
@@ -9,16 +9,16 @@ let fill t v =
   | Full _ -> invalid_arg "Ivar.fill: already full"
   | Empty waiters ->
     t.state <- Full v;
-    List.iter (fun resume -> resume (Ok v)) (List.rev waiters)
+    List.iter (fun w -> Proc.resume w (Ok v)) (List.rev waiters)
 
 let read t =
   match t.state with
   | Full v -> v
   | Empty _ ->
-    Proc.suspend t.engine (fun resume ->
+    Proc.suspend t.engine (fun w ->
         match t.state with
         | Full _ -> assert false
-        | Empty ws -> t.state <- Empty (resume :: ws))
+        | Empty ws -> t.state <- Empty (w :: ws))
 
 let is_full t = match t.state with Full _ -> true | Empty _ -> false
 let peek t = match t.state with Full v -> Some v | Empty _ -> None

@@ -1,10 +1,19 @@
-(* Thin wrapper: the mailbox core lives in {!Proc}, whose effect
-   handler parks a blocked receiver's bare continuation in the wait
-   queue — see the [Recv] effect. *)
+type 'a t = {
+  engine : Engine.t;
+  msgs : 'a Queue.t;
+  readers : 'a Proc.waiter Queue.t; (* blocked receivers, FIFO *)
+}
 
-type 'a t = 'a Proc.mbox
+let create engine = { engine; msgs = Queue.create (); readers = Queue.create () }
 
-let create = Proc.mbox_create
-let send = Proc.mbox_send
-let recv = Proc.mbox_recv
-let length = Proc.mbox_length
+let send t msg =
+  match Queue.take_opt t.readers with
+  | Some w -> Proc.resume w (Ok msg)
+  | None -> Queue.push msg t.msgs
+
+let recv t =
+  if Queue.is_empty t.msgs then
+    Proc.suspend t.engine (fun w -> Queue.push w t.readers)
+  else Queue.pop t.msgs
+
+let length t = Queue.length t.msgs

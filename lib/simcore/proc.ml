@@ -1,5 +1,3 @@
-type 'a resumer = ('a, exn) result -> unit
-
 exception Cancelled
 
 (* Sentinel for "not yet resumed".  ['a] occurs only covariantly in
@@ -22,32 +20,7 @@ type 'a waiter = {
   mutable thunk : unit -> unit;
 }
 
-(* A mailbox's receive path is fused with the scheduler: a fiber
-   blocked in [mbox_recv] is represented by its bare continuation in
-   the mailbox's wait queue — no waiter record, no result cell, no
-   once-only guard (popping the queue transfers the continuation
-   exactly once by construction), so it gets its own effect rather than
-   going through [Suspend_waiter].  The model does not block on
-   mailboxes; the benchmark's event-floor probe and the Proc tests do. *)
-type 'a mbox = {
-  mb_engine : Engine.t;
-  msgs : 'a Queue.t;
-  (* Waiting receivers, FIFO: the front one sits in [rk1] (a one-slot
-     fast path — almost every blocked mailbox has exactly one reader),
-     the rest overflow to [rkq].  Invariant: [rkq] non-empty implies
-     [rk1 = Some _]. *)
-  mutable rk1 : ('a, unit) Effect.Deep.continuation option;
-  rkq : ('a, unit) Effect.Deep.continuation Queue.t;
-  (* The receive effect, allocated once per mailbox (it is immutable),
-     so a blocking receive performs without allocating the payload. *)
-  recv_eff : 'a Effect.t;
-}
-
-type _ Effect.t +=
-  | Suspend : ((('a, exn) result -> unit) -> unit) -> 'a Effect.t
-  | Suspend_waiter : ('a waiter -> unit) -> 'a Effect.t
-  | Recv : 'a mbox -> 'a Effect.t
-  | Yield : unit Effect.t
+type _ Effect.t += Suspend : ('a waiter -> unit) -> 'a Effect.t
 
 let fire w =
   match w.res with
@@ -59,10 +32,10 @@ let resume w r =
   w.res <- r;
   Engine.schedule_now w.engine w.thunk
 
-(* Each fiber runs under one deep handler; the suspension effects
-   capture the continuation and park it — directly in a mailbox's wait
-   queue ([Recv]), in a fresh waiter ([Suspend_waiter]), or wrapped in
-   a once-only resumer closure for the legacy interface ([Suspend]). *)
+(* Each fiber runs under one deep handler with one suspension effect:
+   it captures the continuation into a fresh waiter and hands that to
+   the registration function, which parks it wherever the wake-up will
+   come from. *)
 
 let handler engine =
   let open Effect.Deep in
@@ -76,33 +49,12 @@ let handler engine =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Recv mb ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              match mb.rk1 with
-              | None -> mb.rk1 <- Some k
-              | Some _ -> Queue.push k mb.rkq)
-        | Suspend_waiter register ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              let w = { engine; k; res = never; thunk = nop } in
-              w.thunk <- (fun () -> fire w);
-              register w)
         | Suspend register ->
           Some
             (fun (k : (a, unit) continuation) ->
               let w = { engine; k; res = never; thunk = nop } in
               w.thunk <- (fun () -> fire w);
-              register (fun r -> resume w r))
-        | Yield ->
-          (* Two hops, matching the legacy suspend/resumer sequence
-             (wake event, then deferred continue): collapsing them to
-             one would renumber events and change tie-breaking among
-             same-instant events — goldens are byte-sensitive to it. *)
-          Some
-            (fun (k : (a, unit) continuation) ->
-              Engine.schedule_now engine (fun () ->
-                  Engine.schedule_now engine (fun () -> continue k ())))
+              register w)
         | _ -> None);
   }
 
@@ -112,47 +64,17 @@ let spawn engine f =
 
 let suspend (_engine : Engine.t) register = Effect.perform (Suspend register)
 
-let suspend_waiter (_engine : Engine.t) register =
-  Effect.perform (Suspend_waiter register)
-
-(* [hold] keeps the legacy two-hop resume (timer event, then deferred
-   continue at the same instant) so event numbering — and therefore
-   same-instant tie-breaking — matches the original engine exactly. *)
+(* [hold] and [yield] wake in two hops (a wake event, then the deferred
+   continue at the same instant): collapsing them to one would renumber
+   events and change tie-breaking among same-instant events — goldens
+   are byte-sensitive to it.  [wake w] is the first hop. *)
+let wake w () =
+  w.res <- ok_unit;
+  Engine.schedule_now w.engine w.thunk
 
 let hold engine dt =
   if dt < 0.0 then invalid_arg "Proc.hold: negative delay";
   if dt = 0.0 then ()
-  else
-    suspend_waiter engine (fun w ->
-        Engine.schedule_after w.engine dt (fun () ->
-            w.res <- ok_unit;
-            Engine.schedule_now w.engine w.thunk))
+  else suspend engine (fun w -> Engine.schedule_after w.engine dt (wake w))
 
-let yield _engine = Effect.perform Yield
-
-(* --- mailbox core (wrapped by {!Mailbox}) ------------------------------- *)
-
-let mbox_create engine =
-  let rec mb =
-    {
-      mb_engine = engine;
-      msgs = Queue.create ();
-      rk1 = None;
-      rkq = Queue.create ();
-      recv_eff = Recv mb;
-    }
-  in
-  mb
-
-let mbox_send mb msg =
-  match mb.rk1 with
-  | Some k ->
-    mb.rk1 <- (if Queue.is_empty mb.rkq then None else Some (Queue.pop mb.rkq));
-    Engine.schedule_now mb.mb_engine (fun () -> Effect.Deep.continue k msg)
-  | None -> Queue.push msg mb.msgs
-
-let mbox_recv mb =
-  if Queue.is_empty mb.msgs then Effect.perform mb.recv_eff
-  else Queue.pop mb.msgs
-
-let mbox_length mb = Queue.length mb.msgs
+let yield engine = suspend engine (fun w -> Engine.schedule_now w.engine (wake w))

@@ -83,22 +83,29 @@ let make ?trans_size ?page_locality ?(access_pattern = Wparams.Unclustered)
             use UNIFORM or HICON for larger populations"
            (name_to_string which) span denom supported db_pages)
   | Uniform | Hicon -> ());
+  let client_params client =
+    let hot_region = hot_region_of ~db_pages ~num_clients which client in
+    let cold_region =
+      if is_private then
+        (* Shared, read-only second half of the database. *)
+        { Wparams.first = db_pages / 2; last = db_pages - 1 }
+      else whole_db ~db_pages
+    in
+    {
+      Wparams.hot_region;
+      cold_region;
+      hot_access_prob = (match which with Uniform -> 0.0 | _ -> 0.8);
+      hot_write_prob = write_prob;
+      cold_write_prob = (if is_private then 0.0 else write_prob);
+    }
+  in
+  (* UNIFORM and HICON give every client the same parameters: share one
+     record rather than holding a copy per client. *)
   let clients =
-    Array.init num_clients (fun client ->
-        let hot_region = hot_region_of ~db_pages ~num_clients which client in
-        let cold_region =
-          if is_private then
-            (* Shared, read-only second half of the database. *)
-            { Wparams.first = db_pages / 2; last = db_pages - 1 }
-          else whole_db ~db_pages
-        in
-        {
-          Wparams.hot_region;
-          cold_region;
-          hot_access_prob = (match which with Uniform -> 0.0 | _ -> 0.8);
-          hot_write_prob = write_prob;
-          cold_write_prob = (if is_private then 0.0 else write_prob);
-        })
+    match which with
+    | Uniform | Hicon -> Array.make num_clients (client_params 0)
+    | Hotcold | Private_ | Interleaved_private ->
+      Array.init num_clients client_params
   in
   let remap =
     match which with
@@ -142,14 +149,14 @@ let ocb ?classes ?objects ?fanout ?depth ?policy ?theta ?mix ?traversal_depth
       ~db_pages ~objects_per_page ~seed ()
   in
   let clients =
-    Array.init num_clients (fun _ ->
-        {
-          Wparams.hot_region = None;
-          cold_region = whole_db ~db_pages;
-          hot_access_prob = 0.0;
-          hot_write_prob = 0.0;
-          cold_write_prob = 0.0;
-        })
+    Array.make num_clients
+      {
+        Wparams.hot_region = None;
+        cold_region = whole_db ~db_pages;
+        hot_access_prob = 0.0;
+        hot_write_prob = 0.0;
+        cold_write_prob = 0.0;
+      }
   in
   let params =
     {

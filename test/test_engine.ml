@@ -78,27 +78,6 @@ let test_past_rejected () =
      with Engine.Time_travel msg ->
        mem "requested time 1" msg && mem "clock 5" msg)
 
-let test_timer_fires () =
-  let e = Engine.create () in
-  let fired = ref (-1.0) in
-  let tm = Engine.after e 2.0 (fun () -> fired := Engine.now e) in
-  Alcotest.(check bool) "pending before" true (Engine.timer_pending tm);
-  Alcotest.(check (float 0.0)) "deadline" 2.0 (Engine.timer_deadline tm);
-  Engine.run e;
-  Alcotest.(check (float 0.0)) "fired at deadline" 2.0 !fired;
-  Alcotest.(check bool) "not pending after" false (Engine.timer_pending tm)
-
-let test_timer_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let tm = Engine.after e 2.0 (fun () -> fired := true) in
-  Engine.schedule_after e 1.0 (fun () -> Engine.cancel tm);
-  Engine.run e;
-  Alcotest.(check bool) "cancelled timer does not fire" false !fired;
-  Alcotest.(check bool) "not pending" false (Engine.timer_pending tm);
-  (* Cancelling again (or after firing) is a harmless no-op. *)
-  Engine.cancel tm
-
 let test_events_processed () =
   let e = Engine.create () in
   for _ = 1 to 7 do
@@ -130,8 +109,6 @@ let suite =
     Alcotest.test_case "run_until" `Quick test_run_until;
     Alcotest.test_case "zero delay" `Quick test_zero_delay;
     Alcotest.test_case "past scheduling rejected" `Quick test_past_rejected;
-    Alcotest.test_case "timer fires at deadline" `Quick test_timer_fires;
-    Alcotest.test_case "timer cancellation" `Quick test_timer_cancel;
     Alcotest.test_case "events processed" `Quick test_events_processed;
     QCheck_alcotest.to_alcotest prop_any_schedule_order;
   ]

@@ -88,37 +88,9 @@ let prop_drain_order =
       done;
       !ok && !live = [] && List.length !log = !next_id)
 
-(* Timer churn: cancelling most of a large batch of timers must shrink
-   [Engine.pending] immediately and keep the physical queue footprint
-   within a constant factor of the live count — the lazy purge may keep
-   dead entries around, but never more than half the footprint (plus
-   the 64-entry purge floor). *)
-let test_cancel_storm () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  let live = ref 0 in
-  for round = 1 to 50 do
-    let tms =
-      List.init 100 (fun i ->
-          Engine.after e
-            (float_of_int ((round * 100) + i))
-            (fun () -> incr fired))
-    in
-    List.iteri (fun i tm -> if i mod 10 <> 0 then Engine.cancel tm) tms;
-    live := !live + 10;
-    Alcotest.(check int) "pending tracks live timers" !live (Engine.pending e);
-    Alcotest.(check bool) "footprint bounded by live count" true
-      (Engine.queue_footprint e <= (2 * Engine.pending e) + 128)
-  done;
-  Engine.run e;
-  Alcotest.(check int) "survivors fired" 500 !fired;
-  Alcotest.(check int) "nothing pending" 0 (Engine.pending e)
-
 let suite =
   [
     Alcotest.test_case "ring/heap arbitration" `Quick test_arbitration;
     Alcotest.test_case "ring rejects receded clock" `Quick test_ring_guard;
     QCheck_alcotest.to_alcotest prop_drain_order;
-    Alcotest.test_case "after/cancel storm stays bounded" `Quick
-      test_cancel_storm;
   ]

@@ -285,9 +285,9 @@ let test_callback_style_cycle () =
       ignore (Lock_table.acquire lt "p" ~txn:1 ~kind:Lock);
       (* writer txn 1 now "waits for callbacks" *)
       let r =
-        Proc.suspend e (fun resume ->
+        Proc.suspend e (fun w ->
             Waits_for.set_wait wfg 1 ~blockers:[] ~cancel:(fun () ->
-                resume (Ok `Aborted)))
+                Proc.resume w (Ok `Aborted)))
       in
       if r = `Aborted then w_aborted := true);
   Proc.spawn e (fun () ->

@@ -265,6 +265,23 @@ let test_preset_scaling () =
   | Some r -> Alcotest.(check int) "hot scales x9" 450 (Wparams.region_size r)
   | None -> Alcotest.fail "expected hot region"
 
+(* Presets whose clients all draw alike share one parameter record; a
+   preset with per-client hot regions still builds one per client. *)
+let test_preset_sharing () =
+  let n = 10 in
+  let shared name (p : Wparams.t) =
+    Alcotest.(check bool) (name ^ " shares one record") true
+      (p.clients.(0) == p.clients.(n - 1))
+  in
+  shared "UNIFORM" (mk_params ~which:Presets.Uniform ~clients:n ());
+  shared "HICON" (mk_params ~which:Presets.Hicon ~clients:n ());
+  shared "ocb"
+    (Presets.ocb ~objects:2_000 ~db_pages:cfg_db ~objects_per_page:opp
+       ~num_clients:n ~write_prob:0.2 ());
+  let hc = mk_params ~which:Presets.Hotcold ~clients:n () in
+  Alcotest.(check bool) "HOTCOLD hot regions distinct" true
+    (hc.clients.(0).hot_region <> hc.clients.(n - 1).hot_region)
+
 let test_name_roundtrip () =
   List.iter
     (fun w ->
@@ -768,6 +785,7 @@ let suite =
       test_validate_rejects_bad_think;
     Alcotest.test_case "preset regions" `Quick test_preset_regions;
     Alcotest.test_case "preset scaling" `Quick test_preset_scaling;
+    Alcotest.test_case "preset per-client sharing" `Quick test_preset_sharing;
     Alcotest.test_case "preset name roundtrip" `Quick test_name_roundtrip;
     QCheck_alcotest.to_alcotest prop_refstring_within_db;
     Alcotest.test_case "refstring digests pinned" `Quick test_refstring_digests;
