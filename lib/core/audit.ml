@@ -115,8 +115,8 @@ let check_lock_compat sys ~context =
    A copy can only become uncovered through three events, each logged
    at its one mutation site: it enters a cache or a PS-OO slot becomes
    available again ([sys.page_installs] / [sys.obj_installs], written by
-   Cache_ops), a registration drops to zero ([Copy_table.zeroed]), or a
-   client or partition comes back up ([sys.sweep_pending], set by
+   Cache_ops), a registration count drops to zero ([Copy_table.zeroed]),
+   or a client or partition comes back up ([sys.sweep_pending], set by
    Crash).  Given that the invariant held at the previous audit, the
    journal check re-verifies just the logged pairs, for every client;
    the sweep re-verifies every cached copy.  Every lookup here is
@@ -124,9 +124,8 @@ let check_lock_compat sys ~context =
    audit must not touch it. *)
 let covered_partition sys p = (Model.server_of sys p).srv_state = Srv_up
 
-(* An object cached under OS ([what] = "object"), or an available slot
-   of a page cached under PS-OO ([what] = "available object"). *)
-let check_object_copy sys ~context ~what cid o =
+(* An object cached under OS. *)
+let check_object_copy sys ~context cid o =
   let p = o.Ids.Oid.page in
   if
     covered_partition sys p
@@ -134,29 +133,29 @@ let check_object_copy sys ~context ~what cid o =
          (Locking.Copy_table.holds (Model.server_of sys p).ocopies o
             ~client:cid)
   then
-    violation sys ~context "client %d caches %s %s without a copy registration"
-      cid what (oid_str o)
+    violation sys ~context "client %d caches object %s without a copy registration"
+      cid (oid_str o)
 
-(* A page cached under page-grain tracking. *)
-let check_page_registration sys ~context cid p =
-  if
-    covered_partition sys p
-    && not
-         (Locking.Copy_table.holds (Model.server_of sys p).pcopies p
-            ~client:cid)
-  then
-    violation sys ~context
-      "client %d caches page %d without a copy registration" cid p
-
-(* A page cached under PS-OO: one object registration per available
-   slot. *)
-let check_available_slots sys ~context cid p (entry : page_entry) =
+(* A cached page copy: its registration must count every slot the
+   copy holds — the page's one slot under page-grain tracking, every
+   available slot under PS-OO. *)
+let check_page_copy sys ~context cid p (entry : page_entry) =
   if covered_partition sys p then
-    for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-      if not (Ids.Int_set.mem slot entry.unavailable) then
-        check_object_copy sys ~context ~what:"available object" cid
-          (Ids.Oid.make ~page:p ~slot)
-    done
+    match
+      Locking.Copy_table.first_uncovered
+        ~skip:(Model.unregistered_slots sys entry.unavailable)
+        (Model.server_of sys p).pcopies p ~client:cid
+    with
+    | None -> ()
+    | Some slot ->
+      if Algo.page_grain_copies sys.algo then
+        violation sys ~context
+          "client %d caches page %d without a copy registration" cid p
+      else
+        violation sys ~context
+          "client %d caches available object %s without a copy registration"
+          cid
+          (oid_str (Ids.Oid.make ~page:p ~slot))
 
 let sweep_coverage sys ~context =
   let cs = sys.clients in
@@ -164,47 +163,28 @@ let sweep_coverage sys ~context =
     if cs.up.(cid) then
       match sys.algo with
       | Algo.OS ->
-        Lru.iter cs.ocache.(cid) (fun o _ ->
-            check_object_copy sys ~context ~what:"object" cid o)
-      | Algo.PS_OO ->
+        Lru.iter cs.ocache.(cid) (fun o _ -> check_object_copy sys ~context cid o)
+      | Algo.PS | Algo.PS_OO | Algo.PS_OA | Algo.PS_AA ->
         Lru.iter cs.cache.(cid) (fun p entry ->
-            check_available_slots sys ~context cid p entry)
-      | Algo.PS | Algo.PS_OA | Algo.PS_AA ->
-        Lru.iter cs.cache.(cid) (fun p _ ->
-            check_page_registration sys ~context cid p)
+            check_page_copy sys ~context cid p entry)
   done
 
 (* Journal entry for page [p] at client [cid]: a page install, or a
-   page registration that dropped to zero. *)
+   page registration one of whose counts dropped to zero (under PS-OO,
+   any slot's: every available slot is re-checked). *)
 let recheck_page sys ~context p cid =
   let cs = sys.clients in
-  if cs.up.(cid) then
-    match sys.algo with
-    | Algo.PS | Algo.PS_OA | Algo.PS_AA ->
-      if Lru.mem cs.cache.(cid) p then
-        check_page_registration sys ~context cid p
-    | Algo.PS_OO -> (
-      match Lru.peek cs.cache.(cid) p with
-      | Some entry -> check_available_slots sys ~context cid p entry
-      | None -> ())
-    | Algo.OS -> ()
+  if cs.up.(cid) && sys.algo <> Algo.OS then
+    match Lru.peek cs.cache.(cid) p with
+    | Some entry -> check_page_copy sys ~context cid p entry
+    | None -> ()
 
-(* Journal entry for object [o] at client [cid]: an object install, or
-   an object registration that dropped to zero. *)
+(* Journal entry for object [o] at client [cid] (OS only): an object
+   install, or an object registration that dropped to zero. *)
 let recheck_object sys ~context o cid =
   let cs = sys.clients in
-  if cs.up.(cid) then
-    match sys.algo with
-    | Algo.OS ->
-      if Lru.mem cs.ocache.(cid) o then
-        check_object_copy sys ~context ~what:"object" cid o
-    | Algo.PS_OO -> (
-      match Lru.peek cs.cache.(cid) o.Ids.Oid.page with
-      | Some entry when not (Ids.Int_set.mem o.Ids.Oid.slot entry.unavailable)
-        ->
-        check_object_copy sys ~context ~what:"available object" cid o
-      | Some _ | None -> ())
-    | Algo.PS | Algo.PS_OA | Algo.PS_AA -> ()
+  if cs.up.(cid) && sys.algo = Algo.OS && Lru.mem cs.ocache.(cid) o then
+    check_object_copy sys ~context cid o
 
 (* Loops, not closures: this runs at every boundary. *)
 let recheck_pages sys ~context j =
@@ -293,8 +273,9 @@ let check_crashed_clients sys ~context =
       let oc = count (fun sv -> sv.ocopies) in
       if pc > 0 || oc > 0 then
         violation sys ~context
-          "crashed client %d still registered for %d pages / %d objects" cid
-          pc oc)
+          "crashed client %d still registered for %d page-table / %d \
+           object-table copies"
+          cid pc oc)
     sys.down_clients
 
 (* Invariant 5: deadlock detection runs at every edge addition, so no
@@ -356,8 +337,9 @@ let check_crashed_servers sys ~context =
         let oc = Locking.Copy_table.copies sv.ocopies in
         if pc > 0 || oc > 0 then
           violation sys ~context
-            "down server %d still registers %d page / %d object copies" sv.sid
-            pc oc;
+            "down server %d still registers %d page-table / %d object-table \
+             copies"
+            sv.sid pc oc;
         if Hashtbl.length sv.token_owner > 0 then
           violation sys ~context "down server %d still owns %d write tokens"
             sv.sid

@@ -24,9 +24,9 @@
     - it enters a cache, or a PS-OO page refresh makes a slot available
       again: [Cache_ops.install_page] and [install_object] log it in
       {!Model.sys.page_installs} / [obj_installs];
-    - a registration's refcount drops to zero:
-      [Locking.Copy_table.unregister] and [purge_client] log it in
-      {!Locking.Copy_table.zeroed};
+    - a registration count drops to zero:
+      [Locking.Copy_table.unregister], [unregister_slot] and
+      [purge_client] log it in {!Locking.Copy_table.zeroed};
     - a client restarts or a server reopens: [Crash] sets
       {!Model.sys.sweep_pending}, because every copy of the client or
       partition becomes an obligation at once.
@@ -88,7 +88,14 @@ val check : ?context:string -> ?coverage_of:int -> Model.sys -> unit
       the same page (lock-mode compatibility across granularities);
     + every page/object cached at an {e up} client is covered by at
       least one copy-table registration, so it remains a callback
-      target (copies of a down or recovering partition are exempt);
+      target (copies of a down or recovering partition are exempt).
+      Under PS-OO coverage is at page grain with per-slot counts: a
+      cached page's registration must count every available slot.  A
+      (page, site) entry in the [zeroed] journal stands for every slot
+      of that registration that fell to zero in one call, and one is
+      enough: the re-check of a page entry visits all of the page's
+      available slots, so it finds an uncovered slot whichever one
+      fell;
     + a crashed (down) client has no running transaction, empty caches,
       and no copy-table registrations;
     + the waits-for graph is acyclic (deadlock detection left no cycle

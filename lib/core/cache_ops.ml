@@ -3,20 +3,14 @@ open Model
 
 (* Release the copy-table references held by a resident page copy: its
    page reference under page-grain copy tracking, or one reference per
-   available object under object-grain tracking (PS-OO).  The matching
-   [register] calls happen server-side when the copy is shipped
-   (Srv.reply_page), so a fresh copy in transit keeps its own
-   reference even while its predecessor is being dropped. *)
+   available slot under PS-OO.  The matching [register] happens
+   server-side when the copy is shipped (Srv.reply_page), so a fresh
+   copy in transit keeps its own reference even while its predecessor
+   is being dropped. *)
 let release_page_copy_refs sys cid p (entry : page_entry) =
-  let sv = Model.server_of sys p in
-  if Algo.page_grain_copies sys.algo then
-    Locking.Copy_table.unregister sv.pcopies p ~client:cid
-  else
-    for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-      if not (Ids.Int_set.mem slot entry.unavailable) then
-        Locking.Copy_table.unregister sv.ocopies
-          (Ids.Oid.make ~page:p ~slot) ~client:cid
-    done
+  Locking.Copy_table.unregister
+    ~skip:(Model.unregistered_slots sys entry.unavailable)
+    (Model.server_of sys p).pcopies p ~client:cid
 
 (* Mirror cache traffic into the oracle's shadow store.  A slot marked
    unavailable is not a readable copy, and a dirty slot holds the local
@@ -62,11 +56,12 @@ let mark_unavailable sys cid oid =
   | Some entry ->
     if not (Ids.Int_set.mem oid.Ids.Oid.slot entry.unavailable) then begin
       entry.unavailable <- Ids.Int_set.add oid.Ids.Oid.slot entry.unavailable;
-      (* Under object-grain copy tracking the mark retires this copy's
-         reference for the object. *)
+      (* Under PS-OO the mark retires this copy's reference for the
+         object's slot. *)
       if not (Algo.page_grain_copies sys.algo) then
-        Locking.Copy_table.unregister
-          (Model.server_of sys oid.Ids.Oid.page).ocopies oid ~client:cid;
+        Locking.Copy_table.unregister_slot
+          (Model.server_of sys oid.Ids.Oid.page).pcopies oid.Ids.Oid.page
+          ~slot:oid.Ids.Oid.slot ~client:cid;
       Model.oracle_hook sys (fun o ->
           Oracle.History.drop_copy o ~client:cid ~oid)
     end

@@ -152,32 +152,22 @@ let reconstruct_client_copies sys sv cid =
   let register = not sys.cfg.Config.srv_skip_reconstruction in
   let rows = ref 0 in
   let owned p = Model.owner_sid sys p = sv.sid in
-  if Algo.page_grain_copies sys.algo then
-    Lru.iter cs.cache.(cid) (fun p _ ->
-        if owned p then begin
-          incr rows;
-          if register then Copy_table.register sv.pcopies p ~client:cid
-        end)
-  else if sys.algo = Algo.OS then
+  if sys.algo = Algo.OS then
     Lru.iter cs.ocache.(cid) (fun o _ ->
         if owned o.Ids.Oid.page then begin
           incr rows;
           if register then Copy_table.register sv.ocopies o ~client:cid
         end)
   else
-    (* PS-OO: object-grain registrations for the available slots of
-       each cached page. *)
+    (* One row per page under page-grain tracking; under PS-OO one per
+       available slot, all re-registered at once. *)
     Lru.iter cs.cache.(cid) (fun p entry ->
-        if owned p then
-          for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-            if not (Ids.Int_set.mem slot entry.unavailable) then begin
-              incr rows;
-              if register then
-                Copy_table.register sv.ocopies
-                  (Ids.Oid.make ~page:p ~slot)
-                  ~client:cid
-            end
-          done);
+        if owned p then begin
+          let skip = Model.unregistered_slots sys entry.unavailable in
+          rows :=
+            !rows + Copy_table.width sv.pcopies - Ids.Int_set.cardinal skip;
+          if register then Copy_table.register ~skip sv.pcopies p ~client:cid
+        end);
   !rows
 
 (* Restart: replay the redo-log tail bounded by the last flush, then

@@ -264,6 +264,9 @@ let foreign_locked_slots sys p ~tid =
 let page_has_foreign_obj_lock sys p ~tid =
   not (Ids.Int_set.is_empty (foreign_locked_slots sys p ~tid))
 
+let unregistered_slots sys unavailable =
+  if Algo.page_grain_copies sys.algo then Ids.Int_set.empty else unavailable
+
 let create ~cfg ~algo ~params ~seed =
   Config.validate cfg;
   Workload.Wparams.validate params ~db_pages:cfg.Config.db_pages
@@ -280,6 +283,13 @@ let create ~cfg ~algo ~params ~seed =
       ~seed:(Rng.key_seed ~seed ~key:"fault-layer")
   in
   let n_servers = cfg.Config.servers in
+  (* PS-OO registers a page copy once, with one count per object slot;
+     the page-grain protocols keep one count per page. *)
+  let pcopies_width =
+    match algo with
+    | Algo.PS_OO -> cfg.Config.objects_per_page
+    | Algo.PS | Algo.OS | Algo.PS_OA | Algo.PS_AA -> 1
+  in
   (* RNG split order: for each server its disk stream then its local
      stream, then one stream per client — at servers=1 this is the
      historical order (disk, server, clients), keeping every run
@@ -300,8 +310,11 @@ let create ~cfg ~algo ~params ~seed =
             Locking.Lock_table.create engine ~waits_for:wfg ~lock_name:"page";
           olocks =
             Locking.Lock_table.create engine ~waits_for:wfg ~lock_name:"object";
-          pcopies = Locking.Copy_table.create ~clients:cfg.Config.num_clients;
-          ocopies = Locking.Copy_table.create ~clients:cfg.Config.num_clients;
+          pcopies =
+            Locking.Copy_table.create ~width:pcopies_width
+              ~clients:cfg.Config.num_clients;
+          ocopies =
+            Locking.Copy_table.create ~width:1 ~clients:cfg.Config.num_clients;
           wfg;
           versions = Hashtbl.create 1024;
           olocks_by_page = Hashtbl.create 256;

@@ -107,7 +107,9 @@ type server = {
   plocks : Ids.page Locking.Lock_table.t;  (** page write locks *)
   olocks : Ids.Oid.t Locking.Lock_table.t;  (** object write locks *)
   pcopies : Ids.page Locking.Copy_table.t;
-  ocopies : Ids.Oid.t Locking.Copy_table.t;
+      (** page copies: one count per page (width 1), or under PS-OO one
+          count per object slot (width [objects_per_page]) *)
+  ocopies : Ids.Oid.t Locking.Copy_table.t;  (** object copies (OS only) *)
   wfg : Locking.Waits_for.t;
   versions : (Ids.page, int) Hashtbl.t;
       (** committed-update counter per page; missing = 0 *)
@@ -284,6 +286,11 @@ val foreign_locked_slots : sys -> Ids.page -> tid:int -> Ids.Int_set.t
     [tid] — the "unavailable" marking applied when shipping the page. *)
 
 val page_has_foreign_obj_lock : sys -> Ids.page -> tid:int -> bool
+
+val unregistered_slots : sys -> Ids.Int_set.t -> Ids.Int_set.t
+(** The slots of a page copy whose [pcopies] counts the copy does not
+    hold, given the copy's unavailable slots: those slots under PS-OO,
+    none under page-grain tracking (its one count covers the page). *)
 
 (** {2 Construction} *)
 

@@ -93,7 +93,10 @@ let copy_registered sys kind target =
   match kind with
   | Cb.Purge_page p -> Copy_table.holds sv.pcopies p ~client:target
   | Cb.Adaptive o -> Copy_table.holds sv.pcopies o.Ids.Oid.page ~client:target
-  | Cb.Purge_obj o | Cb.Mark_obj o -> Copy_table.holds sv.ocopies o ~client:target
+  | Cb.Purge_obj o -> Copy_table.holds sv.ocopies o ~client:target
+  | Cb.Mark_obj o ->
+    Copy_table.holds ~slot:o.Ids.Oid.slot sv.pcopies o.Ids.Oid.page
+      ~client:target
 
 (* Issue callbacks to [targets] and wait for all acknowledgements.  The
    writer's wait is registered in the owning server's waits-for graph
@@ -423,20 +426,13 @@ let rec reply_page_live sys txn p =
       | Algo.PS_OO | Algo.PS_OA | Algo.PS_AA ->
         foreign_locked_slots sys p ~tid:txn.tid
     in
-    (match sys.algo with
-    | Algo.PS | Algo.PS_OA | Algo.PS_AA ->
-      Copy_table.register sv.pcopies p ~client:txn.client
-    | Algo.PS_OO ->
-      (* Object-grain copy tracking: register every available object the
-         page copy confers, before the reply leaves the server, so a
-         writer that wins its lock while the copy is in transit still
-         calls this client back. *)
-      for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-        if not (Ids.Int_set.mem slot unavailable) then
-          Copy_table.register sv.ocopies (Ids.Oid.make ~page:p ~slot)
-            ~client:txn.client
-      done
-    | Algo.OS -> assert false);
+    (* Under PS-OO the registration counts every available object the
+       page copy confers, before the reply leaves the server, so a
+       writer that wins its lock while the copy is in transit still
+       calls this client back. *)
+    Copy_table.register
+      ~skip:(Model.unregistered_slots sys unavailable)
+      sv.pcopies p ~client:txn.client;
     let version = page_version sys p in
     Netlayer.page_data sys ~cls:Metrics.M_read_reply
       ~src:(Netlayer.Server sv.sid) ~dst:(Netlayer.Client txn.client);
@@ -657,7 +653,8 @@ let write_rpc sys txn oid =
     else if acquire_token sys txn p = Lock_types.Aborted then reply W_aborted
     else
       let targets =
-        Copy_table.holders_except sv.ocopies oid ~client:txn.client
+        Copy_table.holders_except ~slot:oid.Ids.Oid.slot sv.pcopies p
+          ~client:txn.client
       in
       match
         do_callbacks sys sv ~writer:txn.tid ~kind:(Cb.Mark_obj oid) ~targets

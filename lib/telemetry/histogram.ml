@@ -1,8 +1,8 @@
 type t = {
   lo : float;
   buckets_per_decade : int;
-  nb : int;  (* regular buckets; counts has nb + 2 slots *)
-  counts : int array;
+  nb : int;  (* regular buckets; counts has nb + 2 slots once allocated *)
+  mutable counts : int array;  (* empty until the first sample *)
   mutable n : int;
   mutable sum : float;
   mutable vmin : float;
@@ -20,7 +20,7 @@ let create ?(lo = 1e-6) ?(hi = 1e4) ?(buckets_per_decade = 90) () =
     lo;
     buckets_per_decade;
     nb;
-    counts = Array.make (nb + 2) 0;
+    counts = [||];
     n = 0;
     sum = 0.0;
     vmin = infinity;
@@ -49,6 +49,7 @@ let record t v =
   if v = v (* drop NaNs *) then begin
     let v = if v < 0.0 then 0.0 else v in
     let s = slot_of t v in
+    if Array.length t.counts = 0 then t.counts <- Array.make (t.nb + 2) 0;
     t.counts.(s) <- t.counts.(s) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. v;
@@ -69,9 +70,11 @@ let same_geometry a b =
 let merge ~into src =
   if not (same_geometry into src) then
     invalid_arg "Histogram.merge: bucket geometries differ";
-  for i = 0 to Array.length src.counts - 1 do
-    into.counts.(i) <- into.counts.(i) + src.counts.(i)
-  done;
+  if Array.length into.counts = 0 then into.counts <- Array.copy src.counts
+  else
+    for i = 0 to Array.length src.counts - 1 do
+      into.counts.(i) <- into.counts.(i) + src.counts.(i)
+    done;
   into.n <- into.n + src.n;
   into.sum <- into.sum +. src.sum;
   if src.vmin < into.vmin then into.vmin <- src.vmin;
@@ -115,10 +118,12 @@ let quantile t q =
   end
 
 let iter_buckets t f =
-  if t.counts.(0) > 0 then f ~lo:0.0 ~hi:t.lo ~count:t.counts.(0);
-  for i = 0 to t.nb - 1 do
-    if t.counts.(i + 1) > 0 then
-      f ~lo:(bucket_lo t i) ~hi:(bucket_hi t i) ~count:t.counts.(i + 1)
-  done;
-  if t.counts.(t.nb + 1) > 0 then
-    f ~lo:(bucket_lo t t.nb) ~hi:infinity ~count:t.counts.(t.nb + 1)
+  if Array.length t.counts > 0 then begin
+    if t.counts.(0) > 0 then f ~lo:0.0 ~hi:t.lo ~count:t.counts.(0);
+    for i = 0 to t.nb - 1 do
+      if t.counts.(i + 1) > 0 then
+        f ~lo:(bucket_lo t i) ~hi:(bucket_hi t i) ~count:t.counts.(i + 1)
+    done;
+    if t.counts.(t.nb + 1) > 0 then
+      f ~lo:(bucket_lo t t.nb) ~hi:infinity ~count:t.counts.(t.nb + 1)
+  end

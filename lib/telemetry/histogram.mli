@@ -8,9 +8,11 @@
     samples at or above [hi] land in an overflow bucket reporting the
     exact maximum, so the error bound holds for every sample.
 
-    Recording touches one array slot plus four scalar fields: no
-    allocation, no RNG, no events — safe to leave always-on without
-    perturbing a simulation.  Merging adds bucket counts elementwise,
+    The bucket array is allocated by the first sample, so a histogram
+    that records nothing costs a few words.  From then on recording
+    touches one array slot plus four scalar fields: no allocation, no
+    RNG, no events — safe to leave always-on without perturbing a
+    simulation.  Merging adds bucket counts elementwise,
     which is associative, commutative, and invariant under record
     order (the floating-point [total] may differ in the last ulp
     across merge orders; counts, extrema, and quantiles cannot). *)

@@ -107,7 +107,7 @@ let prop_sparse_matches_dense =
   QCheck.Test.make ~name:"sparse copy table matches dense reference" ~count:300
     arb
     (fun ops ->
-      let sparse = Copy_table.create ~clients in
+      let sparse = Copy_table.create ~width:1 ~clients in
       let dense = Dense.create ~clients in
       List.for_all
         (fun op ->
@@ -136,7 +136,7 @@ let prop_sparse_matches_dense =
                  Copy_table.holders sparse i = Dense.holders dense i
                  && List.for_all
                       (fun c ->
-                        Copy_table.refs sparse i ~client:c
+                        Copy_table.refs sparse i ~slot:0 ~client:c
                         = Dense.refs dense i ~client:c
                         && Copy_table.holds sparse i ~client:c
                            = (Dense.refs dense i ~client:c > 0)
@@ -144,6 +144,171 @@ let prop_sparse_matches_dense =
                            = Dense.holders_except dense i ~client:c)
                       (List.init clients Fun.id))
                (List.init items Fun.id))
+        ops)
+
+(* --- Per-slot registrations match a per-object table ---------------------- *)
+
+(* PS-OO registers a shipped page once, with one count per slot, where
+   it used to register each available object on its own.  Drive a
+   width-[objects_per_page] table and a per-object reference (the dense
+   model, keyed on [page * width + slot]) through the same random
+   sequences of the four operations PS-OO performs, and compare every
+   per-object observation after every step, plus the zeroed journal:
+   one (page, site) entry per operation that brought some slot of the
+   page's registration to zero. *)
+
+type slot_op =
+  | Ship of int * int * Storage.Ids.Int_set.t (* page, client, skipped slots *)
+  | Release of int * int * Storage.Ids.Int_set.t
+  | Drop of int * int * int (* page, slot, client *)
+  | Purge_site of int
+
+let slot_op_gen ~clients ~pages ~width =
+  QCheck.Gen.(
+    let page = int_bound (pages - 1) and client = int_bound (clients - 1) in
+    let mask =
+      frequency
+        [
+          (2, return Storage.Ids.Int_set.empty);
+          ( 3,
+            map Storage.Ids.Int_set.of_list
+              (list_size (int_bound width) (int_bound (width - 1))) );
+        ]
+    in
+    frequency
+      [
+        (5, map3 (fun p c m -> Ship (p, c, m)) page client mask);
+        (4, map3 (fun p c m -> Release (p, c, m)) page client mask);
+        ( 4,
+          map3 (fun p s c -> Drop (p, s, c)) page (int_bound (width - 1)) client
+        );
+        (1, map (fun c -> Purge_site c) client);
+      ])
+
+let show_mask m =
+  String.concat "," (List.map string_of_int (Storage.Ids.Int_set.elements m))
+
+let show_slot_op = function
+  | Ship (p, c, m) -> Printf.sprintf "Ship(%d,%d,{%s})" p c (show_mask m)
+  | Release (p, c, m) -> Printf.sprintf "Release(%d,%d,{%s})" p c (show_mask m)
+  | Drop (p, s, c) -> Printf.sprintf "Drop(%d,%d,%d)" p s c
+  | Purge_site c -> Printf.sprintf "Purge(%d)" c
+
+let prop_slots_match_objects =
+  let clients = 5 and pages = 4 in
+  let width = Oodb_core.Config.default.Oodb_core.Config.objects_per_page in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_slot_op ops))
+      QCheck.Gen.(
+        list_size (int_range 0 80) (slot_op_gen ~clients ~pages ~width))
+  in
+  let all n = List.init n Fun.id in
+  QCheck.Test.make ~name:"per-slot copy table matches per-object reference"
+    ~count:200 arb (fun ops ->
+      let table = Copy_table.create ~width ~clients in
+      let objs = Dense.create ~clients in
+      let obj p s = (p * width) + s in
+      let kept m s = not (Storage.Ids.Int_set.mem s m) in
+      List.for_all
+        (fun op ->
+          (* The pages whose registration at a site loses a slot's last
+             reference in this step, from the reference's counts. *)
+          let zeroes p c slots =
+            if List.exists (fun s -> Dense.refs objs (obj p s) ~client:c = 1) slots
+            then [ (p, c) ]
+            else []
+          in
+          let before = Journal.length (Copy_table.zeroed table) in
+          let expect_zeroed =
+            match op with
+            | Ship (p, c, m) ->
+              Copy_table.register ~skip:m table p ~client:c;
+              List.iter
+                (fun s -> if kept m s then Dense.register objs (obj p s) ~client:c)
+                (all width);
+              []
+            | Release (p, c, m) ->
+              let z = zeroes p c (List.filter (kept m) (all width)) in
+              Copy_table.unregister ~skip:m table p ~client:c;
+              List.iter
+                (fun s ->
+                  if kept m s then Dense.unregister objs (obj p s) ~client:c)
+                (all width);
+              z
+            | Drop (p, s, c) ->
+              let z = zeroes p c [ s ] in
+              Copy_table.unregister_slot table p ~slot:s ~client:c;
+              Dense.unregister objs (obj p s) ~client:c;
+              z
+            | Purge_site c ->
+              let z =
+                List.concat_map
+                  (fun p ->
+                    if
+                      List.exists
+                        (fun s -> Dense.refs objs (obj p s) ~client:c > 0)
+                        (all width)
+                    then [ (p, c) ]
+                    else [])
+                  (all pages)
+              in
+              let got = Copy_table.purge_client table ~client:c in
+              let want = Dense.purge_client objs ~client:c in
+              if got <> want then
+                QCheck.Test.fail_reportf "purge returned %d, expected %d" got
+                  want;
+              z
+          in
+          let j = Copy_table.zeroed table in
+          let logged =
+            List.init
+              (Journal.length j - before)
+              (fun i -> (Journal.item j (before + i), Journal.site j (before + i)))
+          in
+          if List.sort compare logged <> List.sort compare expect_zeroed then
+            QCheck.Test.fail_reportf "%s: zeroed logged %d entries, expected %d"
+              (show_slot_op op) (List.length logged)
+              (List.length expect_zeroed);
+          Copy_table.copies table = Dense.copies objs
+          && List.for_all
+               (fun c ->
+                 Copy_table.client_copies table ~client:c
+                 = Dense.client_copies objs ~client:c)
+               (all clients)
+          && List.for_all
+               (fun p ->
+                 let holding =
+                   List.filter
+                     (fun c ->
+                       List.exists
+                         (fun s -> Dense.refs objs (obj p s) ~client:c > 0)
+                         (all width))
+                     (all clients)
+                 in
+                 Copy_table.holders table p = holding
+                 && List.for_all
+                      (fun c ->
+                        Copy_table.holds table p ~client:c
+                        = List.mem c holding)
+                      (all clients)
+                 && List.for_all
+                      (fun s ->
+                        Copy_table.holders ~slot:s table p
+                        = Dense.holders objs (obj p s)
+                        && List.for_all
+                             (fun c ->
+                               let n = Dense.refs objs (obj p s) ~client:c in
+                               Copy_table.refs table p ~slot:s ~client:c = n
+                               && Copy_table.holds ~slot:s table p ~client:c
+                                  = (n > 0)
+                               && Copy_table.holders_except ~slot:s table p
+                                    ~client:c
+                                  = Dense.holders_except objs (obj p s)
+                                      ~client:c)
+                             (all clients))
+                      (all width))
+               (all pages))
         ops)
 
 (* --- Purge cost: no full-table walk --------------------------------------- *)
@@ -155,7 +320,7 @@ let prop_sparse_matches_dense =
    full-table walk (2 * 10^8 row visits here) cannot. *)
 let test_purge_cost_independent_of_table () =
   let rows = 200_000 and purges = 1_000 in
-  let ct = Copy_table.create ~clients:4 in
+  let ct = Copy_table.create ~width:1 ~clients:4 in
   for i = 0 to rows - 1 do
     Copy_table.register ct i ~client:(1 + (i mod 3))
   done;
@@ -184,4 +349,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
     Alcotest.test_case "purge cost independent of table size" `Quick
       test_purge_cost_independent_of_table;
+    QCheck_alcotest.to_alcotest prop_slots_match_objects;
   ]

@@ -419,22 +419,19 @@ let mk_txn sys ~client =
    registration dropped to zero, so only the install journal sees it. *)
 let test_journal_catches_install () =
   let sys = idle_sys ~algo:Algo.PS_OO in
-  let cfg = sys.Model.cfg in
   let txn = mk_txn sys ~client:0 in
   let p = 5 and gap = 3 in
   let ship ~except =
-    for slot = 0 to cfg.Config.objects_per_page - 1 do
-      if slot <> except then
-        Locking.Copy_table.register sys.Model.servers.(0).ocopies
-          (Ids.Oid.make ~page:p ~slot) ~client:0
-    done
+    Locking.Copy_table.register ~skip:(Ids.Int_set.singleton except)
+      sys.Model.servers.(0).pcopies p ~client:0
   in
   ship ~except:gap;
   ignore
     (Cache_ops.install_page sys 0 txn p ~unavailable:(Ids.Int_set.singleton gap)
        ~version:0);
   Audit.check sys ~context:"clean" ~coverage_of:1;
-  expect_violation sys ~coverage_of:1 "an available slot with no registration"
+  expect_violation sys ~coverage_of:1 ~mentions:"available object 5.3"
+    "an available slot with no registration"
     (fun () ->
       ship ~except:gap;
       ignore

@@ -71,14 +71,16 @@ let audit sys =
           (* At quiescence the copy tables are an exact mirror: one
              reference per cached copy, none in flight. *)
           if
-            Locking.Copy_table.refs sys.Model.servers.(0).pcopies p ~client:cid
+            Locking.Copy_table.refs sys.Model.servers.(0).pcopies p ~slot:0
+              ~client:cid
             <> 1
           then failwith "audit: cached page not registered exactly once")
     else if sys.Model.algo = Algo.OS then
       Lru.iter cs.Model.ocache.(cid) (fun o _ ->
           incr cached_objects;
           if
-            Locking.Copy_table.refs sys.Model.servers.(0).ocopies o ~client:cid
+            Locking.Copy_table.refs sys.Model.servers.(0).ocopies o ~slot:0
+              ~client:cid
             <> 1
           then failwith "audit: cached object not registered exactly once")
     else
@@ -86,13 +88,12 @@ let audit sys =
          exactly one reference; marked slots hold none. *)
       Lru.iter cs.Model.cache.(cid) (fun p entry ->
           for slot = 0 to sys.Model.cfg.Config.objects_per_page - 1 do
-            let o = Ids.Oid.make ~page:p ~slot in
             let expect =
               if Ids.Int_set.mem slot entry.Model.unavailable then 0 else 1
             in
             incr cached_objects;
             let got =
-              Locking.Copy_table.refs sys.Model.servers.(0).ocopies o
+              Locking.Copy_table.refs sys.Model.servers.(0).pcopies p ~slot
                 ~client:cid
             in
             if got <> expect then

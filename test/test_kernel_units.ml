@@ -119,9 +119,9 @@ let test_read_registers_object_copies () =
     ignore (Cache_ops.install_page sys 0 txn 5 ~unavailable ~version)
   | _ -> Alcotest.fail "expected page");
   Alcotest.(check int) "available object registered once" 1
-    (Locking.Copy_table.refs sys.Model.servers.(0).ocopies (oid 5 0) ~client:0);
+    (Locking.Copy_table.refs sys.Model.servers.(0).pcopies 5 ~slot:0 ~client:0);
   Alcotest.(check int) "foreign-locked object not registered" 0
-    (Locking.Copy_table.refs sys.Model.servers.(0).ocopies (oid 5 3) ~client:0)
+    (Locking.Copy_table.refs sys.Model.servers.(0).pcopies 5 ~slot:3 ~client:0)
 
 let test_install_page_merges_local_dirty () =
   let sys = mk_sys () in

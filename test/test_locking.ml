@@ -11,7 +11,7 @@ let mk () =
 (* --- Copy table --------------------------------------------------------- *)
 
 let test_copy_register () =
-  let ct = Copy_table.create ~clients:4 in
+  let ct = Copy_table.create ~width:1 ~clients:4 in
   Copy_table.register ct "p1" ~client:0;
   Copy_table.register ct "p1" ~client:2;
   Copy_table.register ct "p1" ~client:2;
@@ -22,7 +22,7 @@ let test_copy_register () =
     (Copy_table.holders_except ct "p1" ~client:2)
 
 let test_copy_unregister () =
-  let ct = Copy_table.create ~clients:4 in
+  let ct = Copy_table.create ~width:1 ~clients:4 in
   Copy_table.register ct "p1" ~client:1;
   Copy_table.unregister ct "p1" ~client:1;
   Copy_table.unregister ct "p1" ~client:1;
@@ -36,7 +36,7 @@ let journal_pairs j =
 
 (* Only a refcount reaching zero is logged, from either release path. *)
 let test_copy_zeroed_journal () =
-  let ct = Copy_table.create ~clients:4 in
+  let ct = Copy_table.create ~width:1 ~clients:4 in
   Copy_table.register ct "p1" ~client:1;
   Copy_table.register ct "p1" ~client:1;
   Copy_table.register ct "p2" ~client:3;
