@@ -217,8 +217,8 @@ let run algo workload locality write_probs clients db_scale servers partition
   let est = Config.memory_estimate_bytes cfg in
   if est > 4 * 1024 * 1024 * 1024 then
     Format.eprintf
-      "oodbsim: warning: %d clients need roughly %d GB of memory at these \
-       cache sizes@."
+      "oodbsim: warning: %d clients can grow to roughly %d GB of memory if \
+       every client's caches fill@."
       cfg.Config.num_clients
       (est / (1024 * 1024 * 1024));
   let jobs =
@@ -353,8 +353,10 @@ let clients_t =
           (Printf.sprintf
              "Client workstations. Sparse sharing tables keep server-side \
               costs proportional to actual copy holders, so populations in \
-              the tens of thousands are routine; budget roughly %d MB of \
-              memory per 1000 clients at the default cache sizes. The \
+              the tens of thousands are routine. Caches are built on first \
+              use, so memory grows with the working set; at the default \
+              cache sizes it can reach roughly %d MB per 1000 clients if \
+              every client's caches fill. The \
               per-client-hot-region presets (HOTCOLD, PRIVATE) support at \
               most 25/50 clients; use UNIFORM or HICON beyond that."
              mb_per_1k))

@@ -21,7 +21,7 @@ let wait_for_txn_end sys sv cid ~writer ~blocking =
       Tl.cb_blocked x ~client:cid ~writer ~now:(Engine.now sys.engine));
   Locking.Waits_for.add_blocker sv.Model.wfg writer blocking;
   ignore (Locking.Waits_for.check_deadlock sv.Model.wfg ~from:writer);
-  Proc.suspend sys.engine (fun w ->
+  Proc.suspend (fun w ->
       sys.clients.end_hooks.(cid) <-
         (fun () -> Proc.resume w (Ok ())) :: sys.clients.end_hooks.(cid))
 

@@ -370,7 +370,7 @@ let rec attempt sys cid ops ~first_started ~restarts =
     check_live sys txn;
     abort_cleanup sys cid txn;
     Audit.check sys ~context:"abort" ~coverage_of:cid;
-    Proc.hold sys.engine (restart_delay sys cid);
+    Proc.hold (restart_delay sys cid);
     (* The client may have crashed during the back-off; the replacement
        incarnation resubmits, not this fiber. *)
     check_live sys txn;
@@ -425,7 +425,7 @@ and client_loop sys cid ~epoch =
         thinking := true;
         wake_after sys cid ~epoch think
       end
-      else Proc.yield sys.engine
+      else Proc.yield ()
     with Client_crashed -> ()
   done
 

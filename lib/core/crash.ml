@@ -7,8 +7,9 @@ let crash_client sys cid =
   let cs = sys.clients in
   if cs.up.(cid) then begin
     (* Bump the epoch first: every fiber of the old incarnation is
-       suspended right now (this runs in the driver fiber), and the
-       liveness guards it hits on resume must already see the change. *)
+       suspended right now (this runs in an engine event, outside any
+       fiber), and the liveness guards it hits on resume must already
+       see the change. *)
     Model.set_up sys cid false;
     cs.epoch.(cid) <- cs.epoch.(cid) + 1;
     if cs.crashed_at.(cid) = None then
@@ -221,23 +222,37 @@ let restart_server sys sid =
     Faults.run_hook sys.faults "server-restart"
   end
 
+(* A client's crash/restart driver holds no fiber.  Each wait is
+   event-for-event [Proc.hold], as in [Client.wake_after]: a timer event,
+   then a same-instant hop that runs [k] (a zero wait runs [k] at once,
+   as [hold 0.0] returns at once).  The start event draws the first
+   delay, and each hop checks the guards and draws the next, in the
+   events where a fiber looping on [Proc.hold] would, so event numbers
+   and RNG draws do not move. *)
+let after sys dt k =
+  if dt = 0.0 then k ()
+  else
+    Engine.schedule_after sys.engine dt (fun () ->
+        Engine.schedule_now sys.engine k)
+
+let rec client_driver sys cid () =
+  let f = sys.faults in
+  if sys.live then
+    after sys (Faults.next_crash_delay f) (fun () ->
+        if sys.live && sys.clients.up.(cid) then begin
+          crash_client sys cid;
+          after sys (Faults.profile f).Faults.restart_delay (fun () ->
+              if sys.live then restart_client sys cid;
+              client_driver sys cid ())
+        end
+        else client_driver sys cid ())
+
 let install sys =
   let f = sys.faults in
-  if Faults.crash_faults f then begin
-    let cs = sys.clients in
-    for cid = 0 to cs.n - 1 do
-      Proc.spawn sys.engine (fun () ->
-          let restart_delay = (Faults.profile f).Faults.restart_delay in
-          while sys.live do
-            Proc.hold sys.engine (Faults.next_crash_delay f);
-            if sys.live && cs.up.(cid) then begin
-              crash_client sys cid;
-              Proc.hold sys.engine restart_delay;
-              if sys.live then restart_client sys cid
-            end
-          done)
-    done
-  end;
+  if Faults.crash_faults f then
+    for cid = 0 to sys.clients.n - 1 do
+      Engine.schedule_now sys.engine (client_driver sys cid)
+    done;
   if Faults.srv_faults f then
     Array.iter
       (fun sv ->
@@ -249,7 +264,7 @@ let install sys =
         Proc.spawn sys.engine (fun () ->
             let dt = (Faults.profile f).Faults.log_flush_interval in
             while sys.live do
-              Proc.hold sys.engine dt;
+              Proc.hold dt;
               if sys.live && sv.srv_state = Srv_up && sv.log_records > 0 then begin
                 sv.log_records <- 0;
                 Resources.Cpu.system sv.scpu sys.cfg.Config.disk_overhead_inst;
@@ -262,10 +277,10 @@ let install sys =
         Proc.spawn sys.engine (fun () ->
             let restart_delay = (Faults.profile f).Faults.srv_restart_delay in
             while sys.live do
-              Proc.hold sys.engine (Faults.next_srv_crash_delay f);
+              Proc.hold (Faults.next_srv_crash_delay f);
               if sys.live && sv.srv_state = Srv_up then begin
                 crash_server sys sv.sid;
-                Proc.hold sys.engine restart_delay;
+                Proc.hold restart_delay;
                 if sys.live then restart_server sys sv.sid
               end
             done))

@@ -15,12 +15,14 @@
 val crash_client : Model.sys -> int -> unit
 (** Crash one client now (no-op when already down): reclaim its
     transaction and server-side state, drop its caches, bump its epoch,
-    and run the fault hook (audit).  Exposed for tests; {!install}
-    drives it from the configured crash rate. *)
+    and run the fault hook (audit).  Never suspends, so it may run in a
+    plain engine event.  Exposed for tests; {!install} drives it from
+    the configured crash rate. *)
 
 val restart_client : Model.sys -> int -> unit
 (** Cold-restart a crashed client (no-op when up): marks it up and
-    spawns a fresh transaction-source fiber for the new epoch. *)
+    starts a fresh transaction source for the new epoch.  Never
+    suspends. *)
 
 val crash_server : Model.sys -> int -> unit
 (** Fail one server now (no-op unless up).  Volatile state — buffer
@@ -43,9 +45,11 @@ val restart_server : Model.sys -> int -> unit
     recovering, the server admits only [M_recover] traffic. *)
 
 val install : Model.sys -> unit
-(** When the client crash rate is positive, spawn one driver fiber per
+(** When the client crash rate is positive, start one driver per
     client that crashes it at exponentially distributed intervals and
-    restarts it after the profile's restart delay.  When the server
+    restarts it after the profile's restart delay.  A client driver is a
+    chain of engine timers, not a fiber, with the same events and draws
+    as a fiber looping on {!Simcore.Proc.hold}.  When the server
     crash rate is positive, additionally spawn per server a periodic
     redo-log flush fiber (the durability point) and a crash/restart
     driver; crashes only strike up servers, so recoveries are never

@@ -102,9 +102,6 @@ val series_of_results : spec -> Runner.result list -> series
 val progress_line : Job.t -> Runner.result -> string
 (** One-line completion message for a cell ("fig3 wp=0.05 PS-AA: ... tps"). *)
 
-val cluster_policies : Workload.Placement.policy list
-(** The clustersweep's placement policies, best-clustered first. *)
-
 val cluster_params :
   policy:Workload.Placement.policy -> theta:float -> Workload.Wparams.t
 (** The clustersweep's OCB workload (5000 objects, wp=0.2) under one

@@ -20,7 +20,6 @@ let describe j = j.sweep ^ "/" ^ j.label
    the oracle on leaves the job's seed — and hence its entire event
    schedule — untouched. *)
 let with_oracle j = { j with cfg = { j.cfg with Config.oracle = true } }
-let with_timeline j = { j with cfg = { j.cfg with Config.timeline = true } }
 
 (* The seed key must identify the cell uniquely within its sweep and be
    a pure function of the description, so that a job's random stream is

@@ -44,11 +44,6 @@ val with_oracle : t -> t
     the description, not the configuration, so the oracle-enabled job
     replays the identical event schedule. *)
 
-val with_timeline : t -> t
-(** The same job with [Config.timeline] set.  Like {!with_oracle}, the
-    seed — and hence every simulated event — is unchanged; the run
-    merely records its timeline as it happens. *)
-
 val seed : t -> int
 (** The job's own RNG seed, derived from [base_seed] and the job
     description via {!Simcore.Rng.key_seed}.  A pure function of the

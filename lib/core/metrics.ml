@@ -73,7 +73,6 @@ type t = {
   mutable total_bytes : int;
   mutable commit_count : int;
   mutable abort_count : int;
-  mutable deadlock_count : int;
   mutable merge_count : int;
   mutable merged_objects : int;
   mutable client_merge_count : int;
@@ -119,7 +118,6 @@ let create () =
     total_bytes = 0;
     commit_count = 0;
     abort_count = 0;
-    deadlock_count = 0;
     merge_count = 0;
     merged_objects = 0;
     client_merge_count = 0;
@@ -167,7 +165,6 @@ let note_cb_round t ~duration =
   Telemetry.Histogram.record t.cb_round_hist duration
 
 let note_abort t = t.abort_count <- t.abort_count + 1
-let note_deadlock t = t.deadlock_count <- t.deadlock_count + 1
 
 let note_lock_wait t ~duration =
   t.lock_wait_count <- t.lock_wait_count + 1;
@@ -200,7 +197,6 @@ let reset t ~now =
   t.total_bytes <- 0;
   t.commit_count <- 0;
   t.abort_count <- 0;
-  t.deadlock_count <- 0;
   t.merge_count <- 0;
   t.merged_objects <- 0;
   t.client_merge_count <- 0;
@@ -224,10 +220,8 @@ let reset t ~now =
 
 let commits t = t.commit_count
 let aborts t = t.abort_count
-let deadlocks t = t.deadlock_count
 let messages t = Array.fold_left ( + ) 0 t.msg_counts
 let messages_of t cls = t.msg_counts.(class_index cls)
-let retries_of t cls = t.msg_retries.(class_index cls)
 let retries t = Array.fold_left ( + ) 0 t.msg_retries
 let bytes t = t.total_bytes
 let merges t = t.merge_count

@@ -4,8 +4,8 @@
     second); response times carry 90% batch-means confidence intervals
     as in Section 5.1.  The auxiliary counters cover the quantities the
     paper's analysis refers to: message counts by class, disk I/Os,
-    lock waits, deadlock aborts, callbacks, merges, and PS-AA
-    de-escalations. *)
+    lock waits, callbacks, merges, and PS-AA de-escalations.  Deadlocks
+    are counted by the waits-for graphs ({!Locking.Waits_for.deadlocks}). *)
 
 type msg_class =
   | M_read_req
@@ -81,7 +81,6 @@ val note_retry_wait : t -> duration:float -> unit
     [duration] seconds (timeout-to-success latency). *)
 
 val note_abort : t -> unit
-val note_deadlock : t -> unit
 val note_lock_wait : t -> duration:float -> unit
 val note_callback_blocked : t -> unit
 val note_merge : t -> objects:int -> unit
@@ -110,11 +109,9 @@ val reset : t -> now:float -> unit
 
 val commits : t -> int
 val aborts : t -> int
-val deadlocks : t -> int
 val messages : t -> int
 val messages_of : t -> msg_class -> int
 val retries : t -> int
-val retries_of : t -> msg_class -> int
 val bytes : t -> int
 val merges : t -> int
 val client_merges : t -> int

@@ -146,8 +146,6 @@ let fresh_tid sys =
    page's state (buffer slot, locks, copies, version, token) lives
    there.  The map is a pure function of the page id so clients, Cb and
    Crash can route without consulting any server. *)
-let num_servers sys = Array.length sys.servers
-
 let owner_sid sys p =
   let n = Array.length sys.servers in
   if n = 1 then 0
@@ -161,7 +159,6 @@ let server_of sys p = sys.servers.(owner_sid sys p)
 (* A client's home server relays callbacks from remote partitions (the
    client keeps one session channel instead of n). *)
 let home_sid sys cid = cid mod Array.length sys.servers
-let home_server sys cid = sys.servers.(home_sid sys cid)
 
 let page_version sys p =
   match Hashtbl.find_opt (server_of sys p).versions p with
@@ -307,9 +304,9 @@ let create ~cfg ~algo ~params ~seed =
               ~max_time:cfg.Config.max_disk_time ();
           sbuffer = Buffer_pool.create ~capacity:(Config.server_buf_pages cfg);
           plocks =
-            Locking.Lock_table.create engine ~waits_for:wfg ~lock_name:"page";
+            Locking.Lock_table.create ~waits_for:wfg ~lock_name:"page";
           olocks =
-            Locking.Lock_table.create engine ~waits_for:wfg ~lock_name:"object";
+            Locking.Lock_table.create ~waits_for:wfg ~lock_name:"object";
           pcopies =
             Locking.Copy_table.create ~width:pcopies_width
               ~clients:cfg.Config.num_clients;

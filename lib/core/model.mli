@@ -214,8 +214,6 @@ val num_clients : sys -> int
     server — the one relaying callbacks from remote partitions to
     them. *)
 
-val num_servers : sys -> int
-
 val owner_sid : sys -> Ids.page -> int
 (** The page's owning server under [cfg.partition] ([Hash]: [p mod n];
     [Range]: contiguous ranges of [db_pages / n] pages). *)
@@ -223,8 +221,6 @@ val owner_sid : sys -> Ids.page -> int
 val server_of : sys -> Ids.page -> server
 val home_sid : sys -> int -> int
 (** A client's home server: [cid mod n]. *)
-
-val home_server : sys -> int -> server
 
 val page_version : sys -> Ids.page -> int
 val bump_page_version : sys -> Ids.page -> by:int -> unit

@@ -32,7 +32,7 @@ let send_faulty sys ~cls ~src ~dst ~bytes ~instr =
     Resources.Cpu.system (cpu_of sys src) instr;
     Resources.Network.transfer sys.net ~bytes;
     if Faults.draw_msg_loss f then begin
-      Proc.hold sys.engine timeout;
+      Proc.hold timeout;
       Faults.note_retransmit f;
       Metrics.note_msg_retry sys.metrics cls;
       attempt (retries + 1)
@@ -84,7 +84,7 @@ let send_down sys ~cls ~src ~dst ~bytes ~instr ~persist =
       (false, tries - 1)
     end
     else begin
-      Proc.hold sys.engine timeout;
+      Proc.hold timeout;
       Faults.note_retransmit f;
       Metrics.note_msg_retry sys.metrics cls;
       attempt (tries + 1)

@@ -33,19 +33,8 @@ val send :
   unit
 (** Move one message from [src] to [dst]; blocks the calling fiber until
     the receiver has finished protocol processing.  A giveaway at a down
-    server is silent — use {!send_checked} when the caller must know. *)
-
-val send_checked :
-  ?persist:bool ->
-  Model.sys ->
-  cls:Metrics.msg_class ->
-  src:endpoint ->
-  dst:endpoint ->
-  bytes:int ->
-  bool
-(** Like {!send} but returns false when the message was given away at a
-    down server ([persist:true] never gives away: it retries until the
-    destination reopens). *)
+    server is silent — use {!control_checked} when the caller must
+    know. *)
 
 val control :
   Model.sys -> cls:Metrics.msg_class -> src:endpoint -> dst:endpoint -> unit
@@ -58,7 +47,9 @@ val control_checked :
   src:endpoint ->
   dst:endpoint ->
   bool
-(** Checked variant of {!control} (see {!send_checked}). *)
+(** Like {!control} but returns false when the message was given away
+    at a down server ([persist:true] never gives away: it retries until
+    the destination reopens). *)
 
 val page_data :
   Model.sys -> cls:Metrics.msg_class -> src:endpoint -> dst:endpoint -> unit

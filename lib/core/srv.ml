@@ -136,8 +136,8 @@ let do_callbacks sys sv ~writer ~kind ~targets =
   else begin
     let engine = sys.engine in
     let owner = sv.sid in
-    let gather = Gather.create engine (List.length targets) in
-    let outcome = Ivar.create engine in
+    let gather = Gather.create (List.length targets) in
+    let outcome = Ivar.create () in
     Waits_for.set_wait ~info:"callback-gather" sv.wfg writer ~blockers:[]
       ~cancel:(fun () ->
         if not (Ivar.is_full outcome) then Ivar.fill outcome `Aborted);
@@ -237,7 +237,7 @@ let deescalate_page sys p holder =
     | None -> () (* holder finished in the meantime *)
     | Some ht ->
       let hcid = ht.client in
-      let inflight = Ivar.create sys.engine in
+      let inflight = Ivar.create () in
       Hashtbl.replace sv.deesc_inflight p inflight;
       Netlayer.control sys ~cls:Metrics.M_deescalate
         ~src:(Netlayer.Server sv.sid) ~dst:(Netlayer.Client hcid);
@@ -334,7 +334,7 @@ let acquire_token sys txn p =
         (* Owner still has uncommitted updates: wait for its end. *)
         Metrics.note_token_wait sys.metrics;
         let outcome =
-          Proc.suspend sys.engine (fun w ->
+          Proc.suspend (fun w ->
               let fired = ref false in
               let fire r =
                 if not !fired then begin

@@ -58,11 +58,6 @@ val ship_redo_log : Model.sys -> Model.txn -> unit
     covering every update of the transaction and replay it at the
     server (Section 6.1's "redo-at-server" scheme, as in early SHORE). *)
 
-val acquire_token : Model.sys -> Model.txn -> Ids.page -> Locking.Lock_types.grant
-(** [Config.Write_token] page-update token acquisition: blocks behind
-    the owning transaction (deadlock-detectable) and bounces the page
-    through the server when taking the token from an idle owner.
-    Exposed for tests; called internally by {!write_rpc}. *)
 
 val release_txn_locks : Model.sys -> Model.txn -> unit
 (** Instantly release every server lock of the transaction (both

@@ -13,7 +13,6 @@ type 'item entry = {
 }
 
 type 'item t = {
-  engine : Engine.t;
   waits_for : Waits_for.t;
   lock_name : string;
   entries : ('item, 'item entry) Hashtbl.t;
@@ -21,9 +20,8 @@ type 'item t = {
   mutable blocked_total : int;
 }
 
-let create engine ~waits_for ~lock_name =
+let create ~waits_for ~lock_name =
   {
-    engine;
     waits_for;
     lock_name;
     entries = Hashtbl.create 256;
@@ -131,7 +129,7 @@ let acquire t item ~txn ~kind =
   end
   else begin
     t.blocked_total <- t.blocked_total + 1;
-    Proc.suspend t.engine (fun waiter ->
+    Proc.suspend (fun waiter ->
         let w = { w_txn = txn; kind; waiter } in
         Queue.add w e.queue;
         let cancel () =

@@ -15,8 +15,7 @@ open Lock_types
 
 type 'item t
 
-val create :
-  Simcore.Engine.t -> waits_for:Waits_for.t -> lock_name:string -> 'item t
+val create : waits_for:Waits_for.t -> lock_name:string -> 'item t
 
 val acquire : 'item t -> 'item -> txn:txn -> kind:request_kind -> grant
 (** Blocking request (FIFO).  [Probe] returns [Granted] once no other

@@ -137,7 +137,7 @@ let rec start_next_system t =
 
 let system t instr =
   if instr < 0.0 then invalid_arg "Cpu.system: negative work";
-  Proc.suspend t.engine (fun w ->
+  Proc.suspend (fun w ->
       catch_up_users t;
       Queue.push (instr, w) t.sys_queue;
       if not t.sys_active then begin
@@ -151,7 +151,7 @@ let user t instr =
   if instr < 0.0 then invalid_arg "Cpu.user: negative work";
   if instr = 0.0 then ()
   else
-    Proc.suspend t.engine (fun waiter ->
+    Proc.suspend (fun waiter ->
         catch_up_users t;
         t.users <- { rem = instr; waiter } :: t.users;
         t.n_users <- t.n_users + 1;

@@ -47,7 +47,7 @@ let maybe_stall t =
     let p = Faults.profile f in
     let rec retry n =
       if n < p.Faults.disk_stall_retries && Faults.draw_disk_stall f then begin
-        Proc.hold t.engine p.Faults.disk_stall_time;
+        Proc.hold p.Faults.disk_stall_time;
         retry (n + 1)
       end
     in
@@ -67,7 +67,7 @@ let io t =
   | Some (tl, track, name) ->
     Telemetry.Timeline.complete tl ~track ~name ~t0:start ~t1:finish ()
   | None -> ());
-  Proc.hold t.engine (finish -. now)
+  Proc.hold (finish -. now)
 
 let io_count t = Stats.Counter.value t.ios
 

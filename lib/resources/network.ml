@@ -43,7 +43,7 @@ let transfer t ~bytes =
   | Some (tl, track, name) ->
     Telemetry.Timeline.complete tl ~track ~name ~arg:bytes ~t0:start ~t1:finish ()
   | None -> ());
-  Proc.hold t.engine (finish -. now)
+  Proc.hold (finish -. now)
 
 let messages t = Stats.Counter.value t.msgs
 let bytes_sent t = Stats.Counter.value t.bytes

@@ -4,9 +4,9 @@ type 'a t = {
   done_ivar : 'a list Ivar.t;
 }
 
-let create engine expected =
+let create expected =
   if expected < 0 then invalid_arg "Gather.create: negative count";
-  let t = { expected; results = []; done_ivar = Ivar.create engine } in
+  let t = { expected; results = []; done_ivar = Ivar.create () } in
   if expected = 0 then Ivar.fill t.done_ivar [];
   t
 

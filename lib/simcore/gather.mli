@@ -7,8 +7,8 @@
 
 type 'a t
 
-val create : Engine.t -> int -> 'a t
-(** [create engine n] expects exactly [n] results. *)
+val create : int -> 'a t
+(** [create n] expects exactly [n] results. *)
 
 val add : 'a t -> 'a -> unit
 (** Contribute one result.  Raises [Invalid_argument] beyond [n]. *)

@@ -1,8 +1,8 @@
 type 'a state = Empty of 'a Proc.waiter list | Full of 'a
 
-type 'a t = { engine : Engine.t; mutable state : 'a state }
+type 'a t = { mutable state : 'a state }
 
-let create engine = { engine; state = Empty [] }
+let create () = { state = Empty [] }
 
 let fill t v =
   match t.state with
@@ -15,7 +15,7 @@ let read t =
   match t.state with
   | Full v -> v
   | Empty _ ->
-    Proc.suspend t.engine (fun w ->
+    Proc.suspend (fun w ->
         match t.state with
         | Full _ -> assert false
         | Empty ws -> t.state <- Empty (w :: ws))

@@ -2,11 +2,12 @@
 
     The standard way a fiber waits for a reply: the requester creates an
     ivar, ships it with the request, and {!read}s it; the responder
-    {!fill}s it.  Multiple fibers may read the same ivar. *)
+    {!fill}s it.  Multiple fibers may read the same ivar.  An ivar is
+    not tied to an engine: each reader resumes on its own fiber's. *)
 
 type 'a t
 
-val create : Engine.t -> 'a t
+val create : unit -> 'a t
 
 val fill : 'a t -> 'a -> unit
 (** Make the value available and wake all readers (at the current

@@ -1,10 +1,9 @@
 type 'a t = {
-  engine : Engine.t;
   msgs : 'a Queue.t;
   readers : 'a Proc.waiter Queue.t; (* blocked receivers, FIFO *)
 }
 
-let create engine = { engine; msgs = Queue.create (); readers = Queue.create () }
+let create (_ : Engine.t) = { msgs = Queue.create (); readers = Queue.create () }
 
 let send t msg =
   match Queue.take_opt t.readers with
@@ -13,7 +12,7 @@ let send t msg =
 
 let recv t =
   if Queue.is_empty t.msgs then
-    Proc.suspend t.engine (fun w -> Queue.push w t.readers)
+    Proc.suspend (fun w -> Queue.push w t.readers)
   else Queue.pop t.msgs
 
 let length t = Queue.length t.msgs

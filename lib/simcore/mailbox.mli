@@ -6,6 +6,10 @@
 type 'a t
 
 val create : Engine.t -> 'a t
+(** The engine argument is unused: a blocked receiver resumes on its
+    own fiber's engine.  It stays only because the benchmark's floor
+    probe calls [create engine]; nothing in the simulator uses a
+    mailbox. *)
 
 val send : 'a t -> 'a -> unit
 (** Enqueue a message, waking one waiting receiver if any. *)

@@ -62,7 +62,7 @@ let spawn engine f =
   Engine.schedule_now engine (fun () ->
       Effect.Deep.match_with f () (handler engine))
 
-let suspend (_engine : Engine.t) register = Effect.perform (Suspend register)
+let suspend register = Effect.perform (Suspend register)
 
 (* [hold] and [yield] wake in two hops (a wake event, then the deferred
    continue at the same instant): collapsing them to one would renumber
@@ -72,9 +72,9 @@ let wake w () =
   w.res <- ok_unit;
   Engine.schedule_now w.engine w.thunk
 
-let hold engine dt =
+let hold dt =
   if dt < 0.0 then invalid_arg "Proc.hold: negative delay";
   if dt = 0.0 then ()
-  else suspend engine (fun w -> Engine.schedule_after w.engine dt (wake w))
+  else suspend (fun w -> Engine.schedule_after w.engine dt (wake w))
 
-let yield engine = suspend engine (fun w -> Engine.schedule_now w.engine (wake w))
+let yield () = suspend (fun w -> Engine.schedule_now w.engine (wake w))

@@ -33,10 +33,12 @@ val spawn : Engine.t -> (unit -> unit) -> unit
 type 'a waiter
 (** A suspended fiber awaiting a value of type ['a]: the continuation,
     result slot and resumption thunk fused into one record, allocated
-    at suspension time, so resuming builds no closure. *)
+    at suspension time, so resuming builds no closure.  The waiter
+    carries the engine of the fiber's {!spawn}, so neither suspending
+    nor resuming names an engine. *)
 
-val suspend : Engine.t -> ('a waiter -> unit) -> 'a
-(** [suspend engine register] blocks the calling fiber.  [register] is
+val suspend : ('a waiter -> unit) -> 'a
+(** [suspend register] blocks the calling fiber.  [register] is
     called immediately with the fiber's waiter, which it must stash
     somewhere (a wait queue, a pending-callback table, ...) and later
     pass to {!resume} exactly once.  Must be called from within a
@@ -48,9 +50,11 @@ val resume : 'a waiter -> ('a, exn) result -> unit
     in lock queues), at the current simulated time.  A second resume
     raises [Invalid_argument]. *)
 
-val hold : Engine.t -> float -> unit
-(** Block the calling fiber for [dt] seconds of simulated time. *)
+val hold : float -> unit
+(** Block the calling fiber for [dt] seconds of simulated time: a timer
+    event at [now + dt], then a same-instant hop that continues the
+    fiber.  [hold 0.0] returns at once, with no event. *)
 
-val yield : Engine.t -> unit
+val yield : unit -> unit
 (** Block until all other events scheduled for the current instant have
     run. *)

@@ -34,7 +34,6 @@ val generate : spec -> seed:int -> t
 val level_of : spec -> int -> int
 val num_objects : t -> int
 val num_classes : t -> int
-val edge_count : t -> int
 
 val mean_fanout : t -> float
 (** Edges per non-leaf object (empirically near [spec.fanout]). *)

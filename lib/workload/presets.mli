@@ -26,9 +26,6 @@ type locality = Low | High
     [High]: trans_size 10 pages, 8-16 objects/page (avg 12).
     Both average 120 objects per transaction. *)
 
-val locality_range : locality -> Wparams.range
-val default_trans_size : locality -> int
-
 val make :
   ?trans_size:int ->
   ?page_locality:Wparams.range ->

@@ -508,6 +508,34 @@ let test_full_audit_catches_index_drift () =
     (fun () -> Hashtbl.remove sys.Model.by_tid a.Model.tid)
     (fun () -> ())
 
+(* A client-crash cell must drain once the run ends: every crash driver
+   checks [live] before it re-arms, and every client loop checks it
+   before its next transaction, so with [live] off the queue empties
+   instead of ticking on forever.  The event budget turns a driver that
+   re-arms regardless into a failure rather than a hang. *)
+let test_crash_cell_drains algo () =
+  let spec = Option.get (Experiments.find "fig3") in
+  let cfg =
+    {
+      (Experiments.cfg_of spec) with
+      Config.faults = { Faults.off with Faults.crash_rate = 0.05 };
+    }
+  in
+  let params = Experiments.params_of spec ~write_prob:0.1 in
+  let sys = Model.create ~cfg ~algo ~params ~seed:42 in
+  Audit.install sys;
+  Client.start sys;
+  Crash.install sys;
+  let engine = sys.Model.engine in
+  Simcore.Engine.run_until engine 30.0;
+  Alcotest.(check bool) "clients crashed" true
+    (Faults.injected sys.Model.faults > 0);
+  sys.Model.live <- false;
+  Simcore.Engine.run
+    ~max_events:(Simcore.Engine.events_processed engine + 100_000)
+    engine;
+  Alcotest.(check int) "no event left" 0 (Simcore.Engine.pending engine)
+
 let suite =
   [
     Alcotest.test_case "profiles and validation" `Quick test_profiles;
@@ -556,4 +584,10 @@ let suite =
           (Printf.sprintf "journal vs sweep, storm (%s)"
              (Algo.to_string algo))
           `Quick (journal_vs_sweep algo))
+      Algo.all
+  @ List.map
+      (fun algo ->
+        Alcotest.test_case
+          (Printf.sprintf "client-crash cell drains (%s)" (Algo.to_string algo))
+          `Quick (test_crash_cell_drains algo))
       Algo.all

@@ -147,7 +147,9 @@ let fuzz_once ~algo ~cfg ~seed =
   audit sys;
   (* Evidence that the storm actually produced protocol activity. *)
   Metrics.callback_blocks sys.Model.metrics
-  + Metrics.deadlocks sys.Model.metrics
+  + Array.fold_left
+      (fun acc sv -> acc + Locking.Waits_for.deadlocks sv.Model.wfg)
+      0 sys.Model.servers
   + Metrics.lock_waits sys.Model.metrics
   + Metrics.merges sys.Model.metrics
   + Metrics.client_merges sys.Model.metrics

@@ -5,7 +5,7 @@ open Lock_types
 let mk () =
   let e = Engine.create () in
   let wfg = Waits_for.create () in
-  let lt = Lock_table.create e ~waits_for:wfg ~lock_name:"t" in
+  let lt = Lock_table.create ~waits_for:wfg ~lock_name:"t" in
   (e, wfg, lt)
 
 (* --- Copy table --------------------------------------------------------- *)
@@ -106,11 +106,11 @@ let test_conflict_blocks_until_release () =
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
       order := "t1 locked" :: !order;
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Lock_table.release lt "a" ~txn:1;
       order := "t1 released" :: !order);
   Proc.spawn e (fun () ->
-      Proc.hold e 0.1;
+      Proc.hold 0.1;
       ignore (Lock_table.acquire lt "a" ~txn:2 ~kind:Lock);
       order := "t2 locked" :: !order);
   Engine.run e;
@@ -124,12 +124,12 @@ let test_fifo_queue () =
   let order = ref [] in
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Lock_table.release lt "a" ~txn:1);
   List.iter
     (fun (txn, delay) ->
       Proc.spawn e (fun () ->
-          Proc.hold e delay;
+          Proc.hold delay;
           ignore (Lock_table.acquire lt "a" ~txn ~kind:Lock);
           order := txn :: !order;
           Lock_table.release lt "a" ~txn))
@@ -142,11 +142,11 @@ let test_probes_share () =
   let granted_at = ref [] in
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Lock_table.release lt "a" ~txn:1);
   for txn = 2 to 4 do
     Proc.spawn e (fun () ->
-        Proc.hold e 0.1;
+        Proc.hold 0.1;
         ignore (Lock_table.acquire lt "a" ~txn ~kind:Probe);
         granted_at := Engine.now e :: !granted_at)
   done;
@@ -202,11 +202,11 @@ let test_two_txn_deadlock () =
   (* t1 locks a then wants b; t2 locks b then wants a. *)
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 0.5;
+      Proc.hold 0.5;
       Hashtbl.replace outcomes 1 (Lock_table.acquire lt "b" ~txn:1 ~kind:Lock));
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "b" ~txn:2 ~kind:Lock);
-      Proc.hold e 0.6;
+      Proc.hold 0.6;
       Hashtbl.replace outcomes 2 (Lock_table.acquire lt "a" ~txn:2 ~kind:Lock));
   Engine.run e;
   (* Youngest (txn 2, started later) must be the victim. *)
@@ -227,11 +227,11 @@ let test_victim_is_youngest () =
   let outcomes = Hashtbl.create 4 in
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 0.5;
+      Proc.hold 0.5;
       Hashtbl.replace outcomes 1 (Lock_table.acquire lt "b" ~txn:1 ~kind:Lock));
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "b" ~txn:2 ~kind:Lock);
-      Proc.hold e 0.6;
+      Proc.hold 0.6;
       Hashtbl.replace outcomes 2 (Lock_table.acquire lt "a" ~txn:2 ~kind:Lock));
   Engine.run e;
   (* txn 1 started at 5.0 (younger) -> victim. *)
@@ -244,7 +244,7 @@ let test_three_txn_cycle () =
   let spawn_chain txn own want delay =
     Proc.spawn e (fun () ->
         ignore (Lock_table.acquire lt own ~txn ~kind:Lock);
-        Proc.hold e delay;
+        Proc.hold delay;
         match Lock_table.acquire lt want ~txn ~kind:Lock with
         | Aborted -> aborted := txn :: !aborted
         | Granted -> ())
@@ -263,11 +263,11 @@ let test_no_false_deadlock () =
   let ok = ref 0 in
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Lock_table.release lt "a" ~txn:1;
       incr ok);
   Proc.spawn e (fun () ->
-      Proc.hold e 0.2;
+      Proc.hold 0.2;
       if Lock_table.acquire lt "a" ~txn:2 ~kind:Lock = Granted then incr ok);
   Engine.run e;
   Alcotest.(check int) "both fine" 2 !ok;
@@ -285,17 +285,17 @@ let test_callback_style_cycle () =
       ignore (Lock_table.acquire lt "p" ~txn:1 ~kind:Lock);
       (* writer txn 1 now "waits for callbacks" *)
       let r =
-        Proc.suspend e (fun w ->
+        Proc.suspend (fun w ->
             Waits_for.set_wait wfg 1 ~blockers:[] ~cancel:(fun () ->
                 Proc.resume w (Ok `Aborted)))
       in
       if r = `Aborted then w_aborted := true);
   Proc.spawn e (fun () ->
-      Proc.hold e 0.1;
+      Proc.hold 0.1;
       (* reader txn 2 blocks on the page lock: edge 2 -> 1 *)
       ignore (Lock_table.acquire lt "p" ~txn:2 ~kind:Probe));
   Proc.spawn e (fun () ->
-      Proc.hold e 0.2;
+      Proc.hold 0.2;
       (* the callback reaches txn 2's client and blocks: edge 1 -> 2 *)
       Waits_for.add_blocker wfg 1 2;
       ignore (Waits_for.check_deadlock wfg ~from:1));
@@ -312,11 +312,11 @@ let test_cancelled_waiter_unblocks_queue () =
   (* txn 2 queues a Lock behind txn 1... *)
   let r2 = ref None in
   Proc.spawn e (fun () ->
-      Proc.hold e 0.1;
+      Proc.hold 0.1;
       r2 := Some (Lock_table.acquire lt "a" ~txn:2 ~kind:Lock));
   (* ...txn 3 queues a probe behind txn 2 *)
   Proc.spawn e (fun () ->
-      Proc.hold e 0.2;
+      Proc.hold 0.2;
       g3 := Some (Lock_table.acquire lt "a" ~txn:3 ~kind:Probe));
   Engine.run e;
   (* Abort txn 2 via an artificial cycle: 2 waits on 1; make 1 wait on 2. *)
@@ -357,17 +357,17 @@ let test_force_grant_with_queued_waiters () =
   let order = ref [] in
   Proc.spawn e (fun () ->
       ignore (Lock_table.acquire lt "a" ~txn:1 ~kind:Lock);
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       (* conversion while txns 2 and 3 sit in the queue *)
       Lock_table.force_grant lt "a" ~txn:1;
       Alcotest.(check bool) "still held by converter" true
         (Lock_table.held_by lt "a" ~txn:1);
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Lock_table.release lt "a" ~txn:1);
   List.iter
     (fun txn ->
       Proc.spawn e (fun () ->
-          Proc.hold e (0.1 *. float_of_int txn);
+          Proc.hold (0.1 *. float_of_int txn);
           ignore (Lock_table.acquire lt "a" ~txn ~kind:Lock);
           order := txn :: !order;
           Lock_table.release lt "a" ~txn))

@@ -11,7 +11,7 @@ let test_hold_advances_time () =
   let e = Engine.create () in
   let t = ref 0.0 in
   Proc.spawn e (fun () ->
-      Proc.hold e 2.5;
+      Proc.hold 2.5;
       t := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 1e-12)) "time advanced" 2.5 !t
@@ -20,9 +20,9 @@ let test_sequential_holds () =
   let e = Engine.create () in
   let log = ref [] in
   Proc.spawn e (fun () ->
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       log := Engine.now e :: !log;
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       log := Engine.now e :: !log);
   Engine.run e;
   Alcotest.(check (list (float 1e-12))) "cumulative" [ 1.0; 2.0 ] (List.rev !log)
@@ -31,10 +31,10 @@ let test_concurrent_fibers () =
   let e = Engine.create () in
   let log = ref [] in
   Proc.spawn e (fun () ->
-      Proc.hold e 2.0;
+      Proc.hold 2.0;
       log := "slow" :: !log);
   Proc.spawn e (fun () ->
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       log := "fast" :: !log);
   Engine.run e;
   Alcotest.(check (list string)) "interleave" [ "fast"; "slow" ] (List.rev !log)
@@ -44,7 +44,7 @@ let test_suspend_resume_value () =
   let waiter = ref None in
   let got = ref 0 in
   Proc.spawn e (fun () ->
-      got := Proc.suspend e (fun w -> waiter := Some w));
+      got := Proc.suspend (fun w -> waiter := Some w));
   Engine.run e;
   (match !waiter with
   | Some w -> Proc.resume w (Ok 42)
@@ -57,7 +57,7 @@ let test_suspend_resume_error () =
   let waiter = ref None in
   let caught = ref false in
   Proc.spawn e (fun () ->
-      try ignore (Proc.suspend e (fun w -> waiter := Some w) : int)
+      try ignore (Proc.suspend (fun w -> waiter := Some w) : int)
       with Proc.Cancelled -> caught := true);
   Engine.run e;
   Proc.resume (Option.get !waiter) (Error Proc.Cancelled);
@@ -67,7 +67,7 @@ let test_suspend_resume_error () =
 let test_double_resume_rejected () =
   let e = Engine.create () in
   let waiter = ref None in
-  Proc.spawn e (fun () -> ignore (Proc.suspend e (fun w -> waiter := Some w) : int));
+  Proc.spawn e (fun () -> ignore (Proc.suspend (fun w -> waiter := Some w) : int));
   Engine.run e;
   let w = Option.get !waiter in
   Proc.resume w (Ok 1);
@@ -82,7 +82,7 @@ let test_yield_ordering () =
   let log = ref [] in
   Proc.spawn e (fun () ->
       log := "a1" :: !log;
-      Proc.yield e;
+      Proc.yield ();
       log := "a2" :: !log);
   Proc.spawn e (fun () -> log := "b" :: !log);
   Engine.run e;
@@ -91,18 +91,18 @@ let test_yield_ordering () =
 
 let test_ivar_basic () =
   let e = Engine.create () in
-  let iv = Ivar.create e in
+  let iv = Ivar.create () in
   let got = ref 0 in
   Proc.spawn e (fun () -> got := Ivar.read iv);
   Proc.spawn e (fun () ->
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Ivar.fill iv 7);
   Engine.run e;
   Alcotest.(check int) "read after fill" 7 !got
 
 let test_ivar_read_when_full () =
   let e = Engine.create () in
-  let iv = Ivar.create e in
+  let iv = Ivar.create () in
   Ivar.fill iv 5;
   let got = ref 0 in
   Proc.spawn e (fun () -> got := Ivar.read iv);
@@ -111,7 +111,7 @@ let test_ivar_read_when_full () =
 
 let test_ivar_multiple_readers () =
   let e = Engine.create () in
-  let iv = Ivar.create e in
+  let iv = Ivar.create () in
   let sum = ref 0 in
   for _ = 1 to 3 do
     Proc.spawn e (fun () -> sum := !sum + Ivar.read iv)
@@ -121,8 +121,7 @@ let test_ivar_multiple_readers () =
   Alcotest.(check int) "all woken" 30 !sum
 
 let test_ivar_double_fill () =
-  let e = Engine.create () in
-  let iv = Ivar.create e in
+  let iv = Ivar.create () in
   Ivar.fill iv 1;
   Alcotest.(check bool) "double fill raises" true
     (try
@@ -141,7 +140,7 @@ let test_mailbox_fifo () =
   Proc.spawn e (fun () ->
       Mailbox.send mb 1;
       Mailbox.send mb 2;
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       Mailbox.send mb 3);
   Engine.run e;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !got)
@@ -154,7 +153,7 @@ let test_mailbox_blocking_recv () =
       ignore (Mailbox.recv mb);
       t := Engine.now e);
   Proc.spawn e (fun () ->
-      Proc.hold e 3.0;
+      Proc.hold 3.0;
       Mailbox.send mb ());
   Engine.run e;
   Alcotest.(check (float 1e-12)) "blocked until send" 3.0 !t
@@ -181,7 +180,7 @@ let test_pingpong_event_count () =
       done);
   Proc.spawn e (fun () ->
       for _ = 1 to 10 do
-        Proc.yield e;
+        Proc.yield ();
         incr yields
       done);
   Engine.run e;
@@ -192,12 +191,12 @@ let test_pingpong_event_count () =
 
 let test_gather () =
   let e = Engine.create () in
-  let g = Gather.create e 3 in
+  let g = Gather.create 3 in
   let got = ref [] in
   Proc.spawn e (fun () -> got := Gather.wait g);
   for i = 1 to 3 do
     Proc.spawn e (fun () ->
-        Proc.hold e (float_of_int i);
+        Proc.hold (float_of_int i);
         Gather.add g i)
   done;
   Engine.run e;
@@ -205,7 +204,7 @@ let test_gather () =
 
 let test_gather_empty () =
   let e = Engine.create () in
-  let g = Gather.create e 0 in
+  let g = Gather.create 0 in
   let done_ = ref false in
   Proc.spawn e (fun () ->
       ignore (Gather.wait g);
@@ -214,8 +213,7 @@ let test_gather_empty () =
   Alcotest.(check bool) "empty gather returns" true !done_
 
 let test_gather_overflow () =
-  let e = Engine.create () in
-  let g = Gather.create e 1 in
+  let g = Gather.create 1 in
   Gather.add g 1;
   Alcotest.(check bool) "overflow raises" true
     (try
@@ -229,7 +227,7 @@ let test_many_fibers () =
   let completed = ref 0 in
   for i = 1 to n do
     Proc.spawn e (fun () ->
-        Proc.hold e (float_of_int (i mod 17) /. 10.0);
+        Proc.hold (float_of_int (i mod 17) /. 10.0);
         incr completed)
   done;
   Engine.run e;

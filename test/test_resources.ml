@@ -69,7 +69,7 @@ let test_cpu_system_preempts_user () =
       Cpu.user cpu 2_000_000.0;
       user_done := Engine.now e);
   Proc.spawn e (fun () ->
-      Proc.hold e 1.0;
+      Proc.hold 1.0;
       (* freeze user work for 1s *)
       Cpu.system cpu 1_000_000.0);
   Engine.run e;

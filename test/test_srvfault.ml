@@ -151,7 +151,7 @@ let test_crash_purges_server () =
   (* The restart must run inside a fiber: replay and reconstruction
      charge CPU and disk time. *)
   Simcore.Proc.spawn sys.Model.engine (fun () ->
-      Simcore.Proc.hold sys.Model.engine 2.0;
+      Simcore.Proc.hold 2.0;
       Crash.restart_server sys 1);
   Simcore.Engine.run_until sys.Model.engine 60.0;
   sys.Model.live <- false;
